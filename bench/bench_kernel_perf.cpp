@@ -244,13 +244,13 @@ void run_instrumented_workloads(obs::MetricsRegistry& reg) {
 }
 
 // Multi-channel throughput: N scalar event-kernel channels one after
-// another vs one batched SoA kernel running the same N lanes in lockstep
-// (sim/batch/ChannelBatch). Identical seeds, edges and horizon, so the
+// another vs one batched SoA kernel running the same N lanes, one pool
+// item per lane (sim/batch/ChannelBatch). Identical seeds, edges and horizon, so the
 // lane_mismatches counters double as a correctness probe on every bench
 // run; the CI perf gate holds kernel_perf.batch.ch16.events_per_s to
 // >= 4x the committed event-kernel kernel_perf.cdr_events_per_s
-// (bench_diff --min-cross-ratio, run with --threads 0 so the batch tiles
-// lanes across every core).
+// (bench_diff --min-cross-ratio, run with --threads 0 so the batch
+// spreads its lanes across every core).
 //
 // Timing protocol: each side runs kReps times, scalar and batch
 // interleaved so a CPU-frequency drift on a shared runner hits both

@@ -210,7 +210,7 @@ int main(int argc, char** argv) {
         // wrong bit count leaves a per-lane post-mortem dump.
         bp.flight = report.flight();
         // --batch routes every margin_ui_batch through the SoA kernel,
-        // `channels` clones per lockstep batch (bit-identical oracle).
+        // `channels` clones per batch (bit-identical oracle).
         if (batch) bp.batch_lanes = channels;
         mc::BehavioralMarginModel beh(bp);
 
@@ -282,8 +282,8 @@ int main(int argc, char** argv) {
                               : 0.0);
     if (!opts.quiet && batch) {
         std::printf(
-            "\n[batched oracle: %llu evals in %llu batches, %llu lockstep "
-            "steps, simd width %zu]\n",
+            "\n[batched oracle: %llu evals in %llu batches, %llu kernel "
+            "slices, simd width %zu]\n",
             static_cast<unsigned long long>(batch_evals),
             static_cast<unsigned long long>(batch_batches),
             static_cast<unsigned long long>(batch_steps),

@@ -4,11 +4,11 @@
 // cross into the system clock domain through elastic buffers and are
 // decoded back to bytes.
 //
-// Uses the per-channel-scheduler receiver mode: every lane owns a private
-// event queue and a long_jump-separated RNG stream, and the four lanes
-// execute concurrently on an exec::ThreadPool. Each lane's recovered bits
-// depend only on (seed, lane, its input edges), so the decoded output is
-// identical to a serial run.
+// The receiver runs its lanes on the batched SoA kernel: every lane draws
+// from a long_jump-separated RNG stream, and the four lanes execute
+// concurrently on an exec::ThreadPool, one pool item per lane. Each lane's
+// recovered bits depend only on (seed, lane, its input edges), so the
+// decoded output is identical to a serial run.
 
 #include <cstdio>
 #include <string>
@@ -38,18 +38,13 @@ std::vector<bool> encode_lane_payload(const std::string& payload,
 int main() {
     Rng rng(7);  // drives the lane payload jitter realizations
 
-    // Full-receiver telemetry: kernel, per-channel CDR blocks, elastic
-    // buffers and the lock surface all report into one registry. The
-    // instruments are thread-safe, so all four lane schedulers share the
-    // "sim" prefix: the counters aggregate across lanes.
+    // Full-receiver telemetry: per-channel CDR blocks, elastic buffers and
+    // the lock surface all report into one registry.
     obs::MetricsRegistry metrics;
 
     auto cfg = cdr::MultiChannelConfig::paper_receiver();
-    cdr::MultiChannelCdr rx(/*seed=*/7, cfg);  // per-channel schedulers
+    cdr::MultiChannelCdr rx(/*seed=*/7, cfg);
     rx.attach_metrics(metrics);
-    for (int lane = 0; lane < rx.n_channels(); ++lane) {
-        rx.scheduler(lane).attach_metrics(&metrics);
-    }
     std::printf("shared PLL locked: HFCK = %.6f GHz, IC = %.1f uA\n\n",
                 rx.pll().vco_frequency_hz() / 1e9,
                 rx.pll().control_current_a() * 1e6);
@@ -126,12 +121,10 @@ int main() {
 
     // Telemetry snapshot: the same registry a bench would dump via --json.
     std::printf("\n--- telemetry ---\n");
-    std::printf("kernel: %llu events executed, queue high-water %.0f, "
-                "sim/wall ratio %.2e\n",
-                static_cast<unsigned long long>(
-                    metrics.counter("sim.events_executed").value()),
-                metrics.gauge("sim.queue_high_water").value(),
-                metrics.gauge("sim.sim_wall_ratio").value());
+    const sim::batch::ChannelBatch& kernel = *rx.batch_engine();
+    std::printf("kernel: %llu events executed in %llu slices\n",
+                static_cast<unsigned long long>(kernel.events_executed()),
+                static_cast<unsigned long long>(kernel.batch_steps()));
     std::printf("lock: PLL %s, %d/%d channels locked\n",
                 metrics.gauge("cdr.pll.locked").value() > 0.5 ? "locked"
                                                              : "UNLOCKED",

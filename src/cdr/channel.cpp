@@ -139,15 +139,20 @@ std::vector<bool> GccoChannel::recovered_bits() const {
     return bits;
 }
 
-double GccoChannel::measured_prbs_ber(encoding::PrbsOrder order,
-                                      std::size_t skip_first) const {
+double measured_prbs_ber(const std::vector<Decision>& decisions,
+                         encoding::PrbsOrder order, std::size_t skip_first) {
     encoding::PrbsChecker checker(order);
     std::size_t i = 0;
-    for (const auto& d : decisions_) {
+    for (const auto& d : decisions) {
         if (i++ < skip_first) continue;
         checker.feed(d.bit);
     }
     return checker.ber();
+}
+
+double GccoChannel::measured_prbs_ber(encoding::PrbsOrder order,
+                                      std::size_t skip_first) const {
+    return cdr::measured_prbs_ber(decisions_, order, skip_first);
 }
 
 }  // namespace gcdr::cdr

@@ -46,6 +46,13 @@ struct Decision {
     bool bit;
 };
 
+/// Counted BER of a recovered decision stream against a PRBS reference
+/// (self-synchronizing), skipping the first `skip_first` decisions — see
+/// GccoChannel::measured_prbs_ber.
+[[nodiscard]] double measured_prbs_ber(const std::vector<Decision>& decisions,
+                                       encoding::PrbsOrder order,
+                                       std::size_t skip_first = 64);
+
 /// Health-monitor config matched to a channel template: UI duration from
 /// the link rate, sampling center 0.5 UI (0.625 with improved sampling) —
 /// the same center lane_step::fold_margin_ui folds around.

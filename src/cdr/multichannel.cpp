@@ -1,5 +1,6 @@
 #include "cdr/multichannel.hpp"
 
+#include <cassert>
 #include <cmath>
 #include <string>
 
@@ -15,70 +16,72 @@ MultiChannelConfig MultiChannelConfig::paper_receiver() {
     return cfg;
 }
 
-MultiChannelCdr::MultiChannelCdr(sim::Scheduler& sched, Rng& rng,
-                                 const MultiChannelConfig& cfg)
-    : cfg_(cfg), pll_(cfg.pll), shared_sched_(&sched) {
-    pll_.run_to_lock();
-    build_channels(rng, &rng);
-}
-
 MultiChannelCdr::MultiChannelCdr(std::uint64_t seed,
                                  const MultiChannelConfig& cfg)
     : cfg_(cfg), pll_(cfg.pll) {
     pll_.run_to_lock();
+    ChannelConfig shared = cfg_.channel;
+    shared.control_current_a = pll_.control_current_a();
+    const auto n = static_cast<std::size_t>(cfg_.n_channels);
+    batch_ = std::make_unique<sim::batch::ChannelBatch>(shared, n);
     // Mismatch draws come from the base seed; each channel's event-time
     // randomness comes from its own long_jump()-separated stream so the
     // channels stay independent (and runnable concurrently) while the
     // whole receiver remains a pure function of `seed`.
     Rng mismatch_rng(seed);
     Xoshiro256 stream(seed);
-    for (int i = 0; i < cfg_.n_channels; ++i) {
-        stream.long_jump();
-        owned_scheds_.push_back(std::make_unique<sim::Scheduler>());
-        owned_rngs_.push_back(std::make_unique<Rng>(stream));
-    }
-    build_channels(mismatch_rng, nullptr);
-}
-
-void MultiChannelCdr::build_channels(Rng& mismatch_rng, Rng* shared_rng) {
-    const double ic = pll_.control_current_a();
-    for (int i = 0; i < cfg_.n_channels; ++i) {
-        ChannelConfig ch = cfg_.channel;
-        ch.control_current_a = ic;
+    for (std::size_t i = 0; i < n; ++i) {
+        ChannelConfig ch = shared;
         // Mirror/oscillator mismatch: each channel's free-running frequency
         // deviates slightly from HFCK even with a perfect control current.
         if (cfg_.cco_mismatch_sigma > 0.0) {
             ch.gcco.fc_hz *=
                 1.0 + mismatch_rng.gaussian(0.0, cfg_.cco_mismatch_sigma);
         }
-        const auto idx = static_cast<std::size_t>(i);
-        sim::Scheduler& sched =
-            shared_rng ? *shared_sched_ : *owned_scheds_[idx];
-        Rng& rng = shared_rng ? *shared_rng : *owned_rngs_[idx];
-        channels_.push_back(std::make_unique<GccoChannel>(
-            sched, rng, ch, "ch" + std::to_string(i)));
+        stream.long_jump();
+        batch_->seed_lane(i, stream);
+        batch_->set_lane_frequency(i,
+                                   ch.gcco.frequency_at(ch.control_current_a));
+        lane_cfg_.push_back(ch);
+        streams_.push_back(stream);
+        scheds_.push_back(std::make_unique<sim::Scheduler>());
         elastic_.push_back(std::make_unique<ElasticBuffer>(cfg_.elastic_depth));
     }
 }
 
+ChannelView MultiChannelCdr::channel(int i) const {
+    const auto idx = static_cast<std::size_t>(i);
+    if (batch_) {
+        return ChannelView(batch_->decisions(idx), batch_->margins_ui(idx),
+                           lane_cfg_[idx]);
+    }
+    return ChannelView(channels_[idx]->decisions(),
+                       channels_[idx]->margins_ui(), lane_cfg_[idx]);
+}
+
+void MultiChannelCdr::drive(int i, const std::vector<jitter::Edge>& edges) {
+    driven_ = true;
+    if (batch_) {
+        batch_->drive(static_cast<std::size_t>(i), edges);
+    } else {
+        channels_[static_cast<std::size_t>(i)]->drive(edges);
+    }
+}
+
 void MultiChannelCdr::run_until(SimTime t_end, exec::ThreadPool* pool) {
-    if (!owns_schedulers()) {
-        shared_sched_->run_until(t_end);
+    if (batch_) {
+        batch_->run_until(t_end, pool);
         return;
     }
-    auto run_channel = [&](std::size_t i) {
-        owned_scheds_[i]->run_until(t_end);
-    };
+    auto run_channel = [&](std::size_t i) { scheds_[i]->run_until(t_end); };
     if (pool) {
         // Channel i touches only its own scheduler, RNG, wires and
         // decision log; the shared PLL locked at construction and the
         // config are read-only from here on — so dispatching whole
         // channels is race-free without any locking.
-        pool->parallel_for(owned_scheds_.size(), run_channel);
+        pool->parallel_for(scheds_.size(), run_channel);
     } else {
-        for (std::size_t i = 0; i < owned_scheds_.size(); ++i) {
-            run_channel(i);
-        }
+        for (std::size_t i = 0; i < scheds_.size(); ++i) run_channel(i);
     }
 }
 
@@ -86,9 +89,13 @@ void MultiChannelCdr::attach_metrics(obs::MetricsRegistry& registry,
                                      const std::string& prefix) {
     metrics_ = &registry;
     metrics_prefix_ = prefix;
-    for (std::size_t i = 0; i < channels_.size(); ++i) {
+    for (std::size_t i = 0; i < elastic_.size(); ++i) {
         const std::string ch = prefix + ".ch" + std::to_string(i);
-        channels_[i]->attach_metrics(registry, ch);
+        if (batch_) {
+            batch_->attach_metrics(i, registry, ch);
+        } else {
+            channels_[i]->attach_metrics(registry, ch);
+        }
         elastic_[i]->attach_metrics(registry, ch + ".elastic");
     }
     update_lock_metrics();
@@ -105,11 +112,12 @@ void MultiChannelCdr::update_lock_metrics(double lock_tol_rel) {
     }
     const double f_target = pll_.target_frequency_hz();
     int locked = 0;
-    for (std::size_t i = 0; i < channels_.size(); ++i) {
+    for (std::size_t i = 0; i < lane_cfg_.size(); ++i) {
         // Matched-oscillator assumption check (Sec. 2.2): the channel CCO
         // at the distributed control current vs the PLL target rate.
         const double err =
-            std::abs(channels_[i]->gcco().frequency_hz() - f_target) /
+            std::abs(channel(static_cast<int>(i)).gcco().frequency_hz() -
+                     f_target) /
             f_target;
         const bool ch_locked = pll_locked && err <= lock_tol_rel;
         if (metrics_) {
@@ -132,9 +140,15 @@ void MultiChannelCdr::update_lock_metrics(double lock_tol_rel) {
 
 void MultiChannelCdr::attach_health(obs::health::HealthHub& hub) {
     health_hub_ = &hub;
-    hub.configure(channels_.size(), health_config_for(cfg_.channel));
-    for (std::size_t i = 0; i < channels_.size(); ++i) {
-        channels_[i]->attach_health(&hub.lane(i));
+    if (batch_) {
+        batch_->attach_health(hub);
+    } else {
+        hub.configure(channels_.size(), health_config_for(cfg_.channel));
+        for (std::size_t i = 0; i < channels_.size(); ++i) {
+            channels_[i]->attach_health(&hub.lane(i));
+        }
+    }
+    for (std::size_t i = 0; i < hub.lanes(); ++i) {
         // The dump hook checks flight_ at fire time: enable_flight_recorder
         // may legitimately come after attach_health.
         hub.lane(i).on_lost = [this, i](obs::health::LockState) {
@@ -147,48 +161,47 @@ void MultiChannelCdr::attach_health(obs::health::HealthHub& hub) {
 
 void MultiChannelCdr::enable_flight_recorder(obs::FlightRecorder& recorder,
                                              std::size_t vcd_max_changes) {
+    assert(!driven_ && "enable_flight_recorder() must precede drive()");
+    assert(!flight_ && "enable_flight_recorder() is called once");
     flight_ = &recorder;
+    batch_.reset();
     // Every channel starts "locked": a receiver that never locks is as
     // much a failure as one that drops lock mid-run, and this way the
     // first update_lock_metrics() catches both.
-    was_locked_.assign(channels_.size(), true);
+    was_locked_.assign(lane_cfg_.size(), true);
 
-    // One tracer per scheduler. In shared-scheduler mode every channel's
-    // events interleave on one queue, so they share one id space (and one
-    // tracer); in per-channel mode each scheduler gets its own.
-    const std::size_t n_tracers = owns_schedulers() ? channels_.size() : 1;
-    for (std::size_t s = 0; s < n_tracers; ++s) {
-        tracers_.push_back(std::make_unique<obs::CausalTracer>());
-    }
-    if (owns_schedulers()) {
-        for (std::size_t i = 0; i < owned_scheds_.size(); ++i) {
-            owned_scheds_[i]->attach_tracer(tracers_[i].get());
-        }
-    } else {
-        shared_sched_->attach_tracer(tracers_[0].get());
-    }
-
-    for (std::size_t i = 0; i < channels_.size(); ++i) {
+    for (std::size_t i = 0; i < lane_cfg_.size(); ++i) {
         const std::string name = "ch" + std::to_string(i);
+        sim::Scheduler& sched = *scheds_[i];
+        rngs_.push_back(std::make_unique<Rng>(streams_[i]));
+        channels_.push_back(std::make_unique<GccoChannel>(
+            sched, *rngs_[i], lane_cfg_[i], name));
+        GccoChannel& ch = *channels_[i];
+        if (metrics_) {
+            ch.attach_metrics(*metrics_, metrics_prefix_ + "." + name);
+        }
+        if (health_hub_) ch.attach_health(&health_hub_->lane(i));
+
+        tracers_.push_back(std::make_unique<obs::CausalTracer>());
+        sched.attach_tracer(tracers_[i].get());
         obs::FlightRing& ring = recorder.ring(name);
-        ring.set_tracer(tracers_[owns_schedulers() ? i : 0].get());
-        channels_[i]->record_flight(ring);
+        ring.set_tracer(tracers_[i].get());
+        ch.record_flight(ring);
 
         auto vcd = std::make_unique<sim::VcdWriter>();
         vcd->set_max_changes(vcd_max_changes);
-        vcd->watch(channels_[i]->din());
-        vcd->watch(channels_[i]->edge_detector().edet());
-        vcd->watch(channels_[i]->recovered_clock());
-        vcd->watch(channels_[i]->recovered_data());
+        vcd->watch(ch.din());
+        vcd->watch(ch.edge_detector().edet());
+        vcd->watch(ch.recovered_clock());
+        vcd->watch(ch.recovered_data());
         vcds_.push_back(std::move(vcd));
 
         elastic_[i]->set_fault_hook([this, name](const char* kind) {
             flight_->dump(std::string(kind) + ":" + name);
         });
-        scheduler(static_cast<int>(i))
-            .set_fault_hook([this](const char* kind, const std::string&) {
-                flight_->dump(kind);
-            });
+        sched.set_fault_hook([this](const char* kind, const std::string&) {
+            flight_->dump(kind);
+        });
     }
 
     recorder.set_waveform_dump(
@@ -207,12 +220,12 @@ void MultiChannelCdr::enable_flight_recorder(obs::FlightRecorder& recorder,
 }
 
 std::vector<std::vector<bool>> MultiChannelCdr::drain_elastic() {
-    std::vector<std::vector<bool>> out(channels_.size());
-    for (std::size_t i = 0; i < channels_.size(); ++i) {
+    std::vector<std::vector<bool>> out(elastic_.size());
+    for (std::size_t i = 0; i < elastic_.size(); ++i) {
         auto& eb = *elastic_[i];
         // Both domains run at the same nominal rate: one system-clock read
         // per recovered-clock write, then drain the residue.
-        for (const auto& d : channels_[i]->decisions()) {
+        for (const auto& d : channel(static_cast<int>(i)).decisions()) {
             eb.write(d.bit);
             if (auto b = eb.read()) out[i].push_back(*b);
         }

@@ -65,7 +65,7 @@ public:
     [[nodiscard]] virtual double margin_ui(const RunSample& s) const = 0;
     /// Evaluate `n` samples into `out[0..n)`. Semantically identical to
     /// calling margin_ui per sample (the default does exactly that);
-    /// batched implementations evaluate clones in lockstep on the SoA
+    /// batched implementations evaluate clones as lanes of the SoA
     /// kernel instead of one Scheduler per sample. Engines should prefer
     /// this entry point wherever their sampling plan admits buffering.
     virtual void margin_ui_batch(const RunSample* samples, std::size_t n,
@@ -133,8 +133,8 @@ public:
         obs::FlightRecorder* flight = nullptr;
         std::size_t flight_tracer_capacity = 1024;
         /// > 1: margin_ui_batch() evaluates clones on the batched SoA
-        /// kernel (sim/batch/ChannelBatch), this many lanes per lockstep
-        /// batch. 0/1 keeps the scalar one-Scheduler-per-eval path.
+        /// kernel (sim/batch/ChannelBatch), this many lanes per batch.
+        /// 0/1 keeps the scalar one-Scheduler-per-eval path.
         /// Ignored (scalar) whenever `flight` is set — flight recording
         /// needs the event kernel's causal tracer.
         std::size_t batch_lanes = 0;
@@ -146,7 +146,7 @@ public:
     struct BatchStats {
         std::atomic<std::uint64_t> evals{0};    ///< samples batch-evaluated
         std::atomic<std::uint64_t> batches{0};  ///< ChannelBatch runs
-        std::atomic<std::uint64_t> steps{0};    ///< lockstep slices
+        std::atomic<std::uint64_t> steps{0};    ///< kernel slices
         std::atomic<double> wall_seconds{0.0};  ///< kernel time inside runs
     };
 

@@ -8,6 +8,7 @@
 #include "cdr/lane_step.hpp"
 #include "gates/cml_equations.hpp"
 #include "sim/batch/lane_rng.hpp"
+#include "sim/batch/line_vector.hpp"
 #include "util/simd.hpp"
 
 namespace gcdr::sim::batch {
@@ -32,7 +33,7 @@ struct Pend {
 };
 
 struct PendQ {
-    std::vector<Pend> buf;
+    LineVector<Pend> buf;
     std::size_t head = 0;
 
     [[nodiscard]] bool empty() const { return head == buf.size(); }
@@ -136,7 +137,7 @@ struct KernelConfig {
 /// Dispatch codes, one per wire role (precomputed in Lane::init so the
 /// listener dispatch is a jump table instead of a comparison ladder).
 enum : std::uint8_t {
-    kActNone = 0,  // q: no listeners
+    kActNone = 0,
     kActDin,
     kActInner,
     kActLineOut,
@@ -147,6 +148,22 @@ enum : std::uint8_t {
     kActV3,
     kActV4,
     kActCkout,
+    kActQ,  // no listeners; only its transitions are tallied
+};
+
+/// Instruments of one lane, mirroring GccoChannel::attach_metrics. The
+/// kernel tallies into plain integers and publishes them at the end of
+/// each run, so the hot loop never touches an atomic counter.
+struct LaneMetrics {
+    obs::Counter* decisions = nullptr;
+    obs::Counter* edet_pulses = nullptr;
+    obs::Counter* gatings = nullptr;
+    obs::Counter* restarts = nullptr;
+    obs::Counter* din = nullptr;
+    obs::Counter* q = nullptr;
+    obs::Histogram* period_ps = nullptr;
+    std::int64_t last_ckout_rise = -1;
+    std::size_t decisions_seen = 0;  ///< decisions already published
 };
 
 /// One lane's flat event kernel. Event kinds and their sequence numbers
@@ -155,15 +172,20 @@ enum : std::uint8_t {
 /// allocates one seq per input edge (1..E), and every wire commit takes
 /// the next seq at post time. The next event is the (time, seq) minimum
 /// across {kick, edge cursor, commit heap}.
-struct Lane {
+///
+/// A lane runs on whichever pool thread picked it up, so everything it
+/// writes per event — the struct itself, val, pend, evq — is kept on
+/// cache lines of its own (alignas + LineVector).
+struct alignas(kCacheLine) Lane {
     const KernelConfig* kc = nullptr;
     NormalBank* nb = nullptr;
     std::size_t lane = 0;
+    double stage_d0 = 0.0;  ///< this lane's nominal GCCO stage delay, s
 
-    std::vector<std::uint8_t> val;
+    LineVector<std::uint8_t> val;
     std::vector<std::uint8_t> action;  ///< dispatch code per wire
-    std::vector<PendQ> pend;
-    std::vector<CommitEv> evq;
+    LineVector<PendQ> pend;
+    LineVector<CommitEv> evq;
 
     // Cached NormalBank window, valid only inside run_to (see draw()).
     const double* rn = nullptr;
@@ -186,10 +208,18 @@ struct Lane {
     std::int64_t last_clk_rise = -1;
     obs::health::LaneHealthMonitor* health = nullptr;
 
+    // Transitions since the last metrics publish.
+    std::uint64_t din_transitions = 0;
+    std::uint64_t edet_falls = 0;
+    std::uint64_t edet_rises = 0;
+    std::uint64_t q_transitions = 0;
+    std::unique_ptr<LaneMetrics> metrics;
+
     void init(const KernelConfig& k, NormalBank& bank, std::size_t idx) {
         kc = &k;
         nb = &bank;
         lane = idx;
+        stage_d0 = k.stage_d0;
         val.assign(k.n_wires, 0);
         // Initial wire values of the scalar netlist: EDET idles high
         // (XNOR of equal inputs), the ring starts in the frozen pattern
@@ -211,6 +241,7 @@ struct Lane {
         action[k.v3] = kActV3;
         action[k.v4] = kActV4;
         action[k.ckout] = kActCkout;
+        action[k.q] = kActQ;
     }
 
     /// Pop a normal from the cached bank window; the slow path syncs the
@@ -281,8 +312,8 @@ struct Lane {
 
     [[nodiscard]] std::int64_t stage_delay_fs() {
         const double z = kc->gcco_sigma > 0.0 ? draw() : 0.0;
-        return cdr::lane_step::gcco_stage_delay_fs(kc->stage_d0,
-                                                   kc->gcco_sigma, z);
+        return cdr::lane_step::gcco_stage_delay_fs(stage_d0, kc->gcco_sigma,
+                                                   z);
     }
 
     void eval_stage1(std::int64_t t) {
@@ -299,6 +330,30 @@ struct Lane {
 
     void eval_ckout(std::int64_t t) {
         post(kc->ckout, t + 1, !val[kc->v4]);
+    }
+
+    /// GatedRingOscillator's period_ps listener: ckout rise-to-rise.
+    void record_period(std::int64_t t) {
+        LaneMetrics& m = *metrics;
+        if (m.last_ckout_rise >= 0) {
+            m.period_ps->record(
+                (SimTime{t} - SimTime{m.last_ckout_rise}).picoseconds());
+        }
+        m.last_ckout_rise = t;
+    }
+
+    /// Publish the tallies gathered since the last publish.
+    void publish_metrics() {
+        if (!metrics) return;
+        LaneMetrics& m = *metrics;
+        m.decisions->inc(decisions.size() - m.decisions_seen);
+        m.decisions_seen = decisions.size();
+        m.edet_pulses->inc(edet_falls);
+        m.gatings->inc(edet_falls);
+        m.restarts->inc(edet_rises);
+        m.din->inc(din_transitions);
+        m.q->inc(q_transitions);
+        din_transitions = edet_falls = edet_rises = q_transitions = 0;
     }
 
     void on_clk_change(std::uint32_t w, std::int64_t t) {
@@ -327,6 +382,7 @@ struct Lane {
         const KernelConfig& k = *kc;
         switch (action[w]) {
             case kActDin:  // din: [delay-line cell 0, XNOR input a]
+                ++din_transitions;
                 eval_cell(0, t);
                 eval_xnor(t);
                 break;
@@ -338,6 +394,7 @@ struct Lane {
                 eval_dummy(t);
                 break;
             case kActEdet:  // GCCO gating input
+                ++(val[w] ? edet_rises : edet_falls);
                 eval_stage1(t);
                 break;
             case kActDdin:  // margin measurement
@@ -359,8 +416,12 @@ struct Lane {
                 break;
             case kActCkout:
                 if (!k.improved) on_clk_change(w, t);
+                if (metrics && val[w]) record_period(t);
                 break;
-            default:  // q has no listeners
+            case kActQ:
+                ++q_transitions;
+                break;
+            default:
                 break;
         }
     }
@@ -431,27 +492,37 @@ struct Lane {
 }  // namespace
 
 struct ChannelBatch::Impl {
-    Impl(const cdr::ChannelConfig& cfg, std::size_t n)
-        : kc(cfg), bank(n), lanes(n) {
+    Impl(const cdr::ChannelConfig& c, std::size_t n)
+        : cfg(c), kc(c), bank(n), lanes(n) {
         for (std::size_t l = 0; l < n; ++l) lanes[l].init(kc, bank, l);
     }
 
+    cdr::ChannelConfig cfg;
     KernelConfig kc;
     NormalBank bank;
     std::vector<Lane> lanes;
     std::uint64_t steps = 0;
     double run_seconds = 0.0;
 
-    /// Lockstep slice length. Long slices amortize the per-slice refill
-    /// scan and keep each lane's streams (edges in, decisions out,
-    /// normals in) running sequentially instead of ping-ponging between
-    /// lanes; 1024 UI measured fastest on the 16-lane bench while still
-    /// giving the pool slice-granular progress to tile.
+    /// Slice length. A lane refills its normals once per slice, so long
+    /// slices amortize the refill call and keep each lane's streams
+    /// (edges in, decisions out, normals in) running sequentially; 1024
+    /// UI keeps the refilled window (kSliceDraws doubles) cache-resident.
     static constexpr std::int64_t kSliceUi = 1024;
-    /// Normals kept buffered per lane per slice, covering the per-slice
-    /// draw count (ring + delay line together draw ~10 per UI);
-    /// underflow just falls back to the scalar refill.
-    static constexpr std::size_t kTopUp = 12288;
+    /// Normals one slice can draw: ring + delay line together draw ~10
+    /// per UI, so 12 per UI covers a slice and underflow (the bank's
+    /// chunked refill) stays rare.
+    static constexpr std::size_t kDrawsPerUi = 12;
+    static constexpr std::size_t kSliceDraws = kDrawsPerUi * kSliceUi;
+
+    /// Refill size for a span of `span_fs`: what the span can draw, so a
+    /// short MC clone generates a few hundred normals, not a full slice.
+    [[nodiscard]] static std::size_t draws_for(std::int64_t span_fs,
+                                               std::int64_t ui_fs) {
+        if (span_fs < 0) return 0;
+        const auto ui = static_cast<std::size_t>(span_fs / ui_fs) + 1;
+        return std::min(kSliceDraws, kDrawsPerUi * ui);
+    }
 
     void run_to_targets(const std::vector<std::int64_t>& targets,
                         exec::ThreadPool* pool) {
@@ -464,26 +535,34 @@ struct ChannelBatch::Impl {
             begin = std::min(begin, lanes[l].now);
             end = std::max(end, targets[l]);
         }
-        for (std::int64_t hi = begin + slice_fs;; hi += slice_fs) {
-            const std::int64_t cap = std::min(hi, end);
-            bank.top_up(kTopUp);
-            ++steps;
-            auto work = [&](std::size_t l) {
-                lanes[l].run_to(std::min(cap, targets[l]));
-            };
-            if (pool != nullptr) {
-                // Always dispatch through the pool when one is given, even
-                // at size 1: parallel_for's serial path runs the same
-                // per-lane code and the same .jobs/.items accounting, so
-                // pool counters depend only on the workload, never on the
-                // thread count — required by the CI identical-counters
-                // diffs across --threads values.
-                pool->parallel_for(lanes.size(), work);
-            } else {
-                for (std::size_t l = 0; l < lanes.size(); ++l) work(l);
+        // Every lane walks the same slice grid, anchored at the earliest
+        // lane time; a lane stops at its own target.
+        auto work = [&](std::size_t l) {
+            Lane& ln = lanes[l];
+            for (std::int64_t lo = begin;; lo += slice_fs) {
+                const std::int64_t cap = std::min(lo + slice_fs, targets[l]);
+                bank.refill(l, draws_for(cap - std::max(lo, ln.now), ui_fs));
+                ln.run_to(cap);
+                if (cap >= targets[l]) break;
             }
-            if (cap >= end) break;
+            ln.publish_metrics();
+        };
+        if (pool != nullptr) {
+            // Always dispatch through the pool when one is given, even
+            // at size 1: parallel_for's serial path runs the same
+            // per-lane code and the same .jobs/.items accounting, so
+            // pool counters depend only on the workload, never on the
+            // thread count — required by the CI identical-counters
+            // diffs across --threads values.
+            pool->parallel_for(lanes.size(), work);
+        } else {
+            for (std::size_t l = 0; l < lanes.size(); ++l) work(l);
         }
+        // Slices of the grid up to the latest target (at least one).
+        steps += end - begin > slice_fs
+                     ? static_cast<std::uint64_t>(
+                           (end - begin + slice_fs - 1) / slice_fs)
+                     : 1;
         run_seconds +=
             std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                           t0)
@@ -502,6 +581,16 @@ std::size_t ChannelBatch::lanes() const { return impl_->lanes.size(); }
 
 void ChannelBatch::seed_lane(std::size_t lane, std::uint64_t seed) {
     impl_->bank.seed_lane(lane, seed);
+}
+
+void ChannelBatch::seed_lane(std::size_t lane, const Xoshiro256& gen) {
+    impl_->bank.seed_lane(lane, gen);
+}
+
+void ChannelBatch::set_lane_frequency(std::size_t lane, double f_hz) {
+    assert(f_hz > 0.0);
+    // The arithmetic of GatedRingOscillator::stage_delay_sample.
+    impl_->lanes[lane].stage_d0 = 1.0 / (8.0 * f_hz);
 }
 
 void ChannelBatch::drive(std::size_t lane,
@@ -526,13 +615,29 @@ void ChannelBatch::run_until(SimTime t_end, exec::ThreadPool* pool) {
 }
 
 void ChannelBatch::attach_health(obs::health::HealthHub& hub) {
-    obs::health::HealthConfig hc;
-    hc.ui_fs = impl_->kc.rate.ui_seconds() * 1e15;
-    hc.center_ui = impl_->kc.improved ? 0.625 : 0.5;
-    hub.configure(impl_->lanes.size(), hc);
+    hub.configure(impl_->lanes.size(), cdr::health_config_for(impl_->cfg));
     for (std::size_t l = 0; l < impl_->lanes.size(); ++l) {
         impl_->lanes[l].health = &hub.lane(l);
     }
+}
+
+void ChannelBatch::attach_metrics(std::size_t lane,
+                                  obs::MetricsRegistry& registry,
+                                  const std::string& prefix) {
+    Lane& ln = impl_->lanes[lane];
+    auto m = std::make_unique<LaneMetrics>();
+    m->decisions = &registry.counter(prefix + ".decisions");
+    m->edet_pulses = &registry.counter(prefix + ".edet.pulses");
+    m->gatings = &registry.counter(prefix + ".gcco.gatings");
+    m->restarts = &registry.counter(prefix + ".gcco.restarts");
+    m->period_ps = &registry.histogram(prefix + ".gcco.period_ps");
+    m->din = &registry.counter(prefix + ".din.transitions");
+    m->q = &registry.counter(prefix + ".q.transitions");
+    // Transitions count from attach on; decisions count from the start
+    // (GccoChannel::attach_metrics back-fills its decision counter).
+    ln.din_transitions = ln.edet_falls = ln.edet_rises = ln.q_transitions = 0;
+    ln.metrics = std::move(m);
+    ln.publish_metrics();
 }
 
 void ChannelBatch::run_all(exec::ThreadPool* pool) {

@@ -1,9 +1,6 @@
 #include "sim/batch/lane_rng.hpp"
 
-#include <algorithm>
 #include <cmath>
-
-#include "util/simd.hpp"
 
 namespace gcdr::sim::batch {
 
@@ -13,15 +10,8 @@ constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
 }
 
-// splitmix64, exactly as util/rng.cpp seeds Xoshiro256.
-std::uint64_t splitmix64(std::uint64_t& x) {
-    std::uint64_t z = (x += 0x9E3779B97F4A7C15ull);
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    return z ^ (z >> 31);
-}
-
-// One xoshiro256++ step (Blackman & Vigna), matching Xoshiro256::operator().
+// One xoshiro256++ step (Blackman & Vigna), matching Xoshiro256::operator()
+// but on registers, so the refill loop never touches memory for state.
 inline std::uint64_t xoshiro_next(std::uint64_t& s0, std::uint64_t& s1,
                                   std::uint64_t& s2, std::uint64_t& s3) {
     const std::uint64_t result = rotl(s0 + s3, 23) + s0;
@@ -42,36 +32,32 @@ inline double to_unit(std::uint64_t r) {
 
 }  // namespace
 
-NormalBank::NormalBank(std::size_t lanes)
-    : s0_(lanes), s1_(lanes), s2_(lanes), s3_(lanes), fifo_(lanes) {
+NormalBank::NormalBank(std::size_t lanes) : lanes_(lanes) {
     for (std::size_t l = 0; l < lanes; ++l) seed_lane(l, 1);
 }
 
 void NormalBank::seed_lane(std::size_t lane, std::uint64_t seed) {
-    std::uint64_t x = seed;
-    s0_[lane] = splitmix64(x);
-    s1_[lane] = splitmix64(x);
-    s2_[lane] = splitmix64(x);
-    s3_[lane] = splitmix64(x);
-    if ((s0_[lane] | s1_[lane] | s2_[lane] | s3_[lane]) == 0) s0_[lane] = 1;
-    fifo_[lane].buf.clear();
-    fifo_[lane].head = 0;
+    seed_lane(lane, Xoshiro256(seed));
 }
 
-void NormalBank::compact(std::size_t lane) {
-    Fifo& f = fifo_[lane];
-    if (f.head == 0) return;
-    f.buf.erase(f.buf.begin(),
-                f.buf.begin() + static_cast<std::ptrdiff_t>(f.head));
-    f.head = 0;
+void NormalBank::seed_lane(std::size_t lane, const Xoshiro256& gen) {
+    Stream& st = lanes_[lane];
+    const auto s = gen.state();
+    for (int i = 0; i < 4; ++i) st.s[i] = s[static_cast<std::size_t>(i)];
+    st.buf.clear();
+    st.head = 0;
 }
 
-void NormalBank::refill_lane_scalar(std::size_t lane, std::size_t want) {
-    compact(lane);
-    Fifo& f = fifo_[lane];
-    std::uint64_t s0 = s0_[lane], s1 = s1_[lane], s2 = s2_[lane],
-                  s3 = s3_[lane];
-    while (f.buf.size() < want) {
+void NormalBank::refill(std::size_t lane, std::size_t want) {
+    Stream& st = lanes_[lane];
+    if (st.buf.size() - st.head >= want) return;
+    // Drop the consumed prefix so append indices stay small.
+    st.buf.erase(st.buf.begin(),
+                 st.buf.begin() + static_cast<std::ptrdiff_t>(st.head));
+    st.head = 0;
+    st.buf.reserve(want + 1);
+    std::uint64_t s0 = st.s[0], s1 = st.s[1], s2 = st.s[2], s3 = st.s[3];
+    while (st.buf.size() < want) {
         // Polar Box-Muller, the exact Rng::gaussian() recurrence; the
         // accepted pair enters the FIFO in consumption order (u*factor is
         // what gaussian() returns, v*factor is its cached second deviate).
@@ -82,132 +68,13 @@ void NormalBank::refill_lane_scalar(std::size_t lane, std::size_t want) {
             s = u * u + v * v;
         } while (s >= 1.0 || s == 0.0);
         const double factor = std::sqrt(-2.0 * std::log(s) / s);
-        f.buf.push_back(u * factor);
-        f.buf.push_back(v * factor);
+        st.buf.push_back(u * factor);
+        st.buf.push_back(v * factor);
     }
-    s0_[lane] = s0;
-    s1_[lane] = s1;
-    s2_[lane] = s2;
-    s3_[lane] = s3;
-}
-
-std::size_t NormalBank::simd_width() { return gcdr::simd::width_doubles(); }
-
-void NormalBank::top_up(std::size_t want) {
-#if GCDR_SIMD_ENABLED
-    namespace stdx = gcdr::simd::stdx;
-    using VD = gcdr::simd::VDouble;
-    using VU = gcdr::simd::VUint64;
-    using Mask = VU::mask_type;
-    constexpr std::size_t kW = VD::size();
-
-    const auto rotl_v = [](VU x, int k) {
-        return (x << k) | (x >> (64 - k));
-    };
-    // Masked xoshiro advance: slots outside `m` keep their state, so a
-    // finished lane's stream position is untouched by its neighbours'
-    // rejection retries.
-    const auto advance = [&](VU& s0, VU& s1, VU& s2, VU& s3, Mask m) {
-        const VU t = s1 << 17;
-        VU n2 = s2 ^ s0;
-        VU n3 = s3 ^ s1;
-        const VU n1 = s1 ^ n2;
-        const VU n0 = s0 ^ n3;
-        n2 = n2 ^ t;
-        n3 = rotl_v(n3, 45);
-        stdx::where(m, s0) = n0;
-        stdx::where(m, s1) = n1;
-        stdx::where(m, s2) = n2;
-        stdx::where(m, s3) = n3;
-    };
-
-    const std::size_t n = lanes();
-    for (std::size_t base = 0; base < n; base += kW) {
-        const std::size_t cnt = std::min(kW, n - base);
-        // Per-slot bookkeeping lives in plain stack arrays: simd-type
-        // subscripts round-trip through memory on every access, which
-        // costs more than the vector math saves at narrow widths.
-        bool act[kW] = {};
-        std::vector<double>* bufs[kW] = {};
-        std::size_t goal[kW] = {};
-        bool any = false;
-        for (std::size_t k = 0; k < cnt; ++k) {
-            compact(base + k);
-            Fifo& f = fifo_[base + k];
-            const bool needs = f.buf.size() < want;  // head == 0 now
-            act[k] = needs;
-            any = any || needs;
-            if (needs) {
-                bufs[k] = &f.buf;
-                goal[k] = want;
-                f.buf.reserve(want + 2);
-            }
-        }
-        if (!any) continue;
-
-        VU s0{}, s1{}, s2{}, s3{};
-        for (std::size_t k = 0; k < cnt; ++k) {
-            s0[k] = s0_[base + k];
-            s1[k] = s1_[base + k];
-            s2[k] = s2_[base + k];
-            s3[k] = s3_[base + k];
-        }
-
-        while (any) {
-            Mask active{false};
-            for (std::size_t k = 0; k < cnt; ++k) active[k] = act[k];
-            // Two raw draws per Box-Muller attempt; r2 of an inactive slot
-            // is computed from stale state and never used.
-            const VU r1 = rotl_v(s0 + s3, 23) + s0;
-            advance(s0, s1, s2, s3, active);
-            const VU r2 = rotl_v(s0 + s3, 23) + s0;
-            advance(s0, s1, s2, s3, active);
-
-            const VD u =
-                2.0 * (stdx::static_simd_cast<VD>(r1 >> 11) * 0x1.0p-53) -
-                1.0;
-            const VD v =
-                2.0 * (stdx::static_simd_cast<VD>(r2 >> 11) * 0x1.0p-53) -
-                1.0;
-            const VD s = u * u + v * v;
-
-            double ua[kW], va[kW], sa[kW];
-            u.copy_to(ua, stdx::element_aligned);
-            v.copy_to(va, stdx::element_aligned);
-            s.copy_to(sa, stdx::element_aligned);
-
-            // Accept/reject and the log/sqrt tail run per slot: the
-            // rejection outcome is data-dependent, and factor goes through
-            // scalar libm so the values match the scalar path exactly.
-            any = false;
-            for (std::size_t k = 0; k < cnt; ++k) {
-                if (!act[k]) continue;
-                const double sk = sa[k];
-                if (sk < 1.0 && sk != 0.0) {
-                    const double factor =
-                        std::sqrt(-2.0 * std::log(sk) / sk);
-                    std::vector<double>& b = *bufs[k];
-                    b.push_back(ua[k] * factor);
-                    b.push_back(va[k] * factor);
-                    if (b.size() >= goal[k]) act[k] = false;
-                }
-                any = any || act[k];
-            }
-        }
-
-        for (std::size_t k = 0; k < cnt; ++k) {
-            s0_[base + k] = s0[k];
-            s1_[base + k] = s1[k];
-            s2_[base + k] = s2[k];
-            s3_[base + k] = s3[k];
-        }
-    }
-#else
-    for (std::size_t l = 0; l < lanes(); ++l) {
-        compact(l);
-        if (available(l) < want) refill_lane_scalar(l, want);
-    }
-#endif
+    st.s[0] = s0;
+    st.s[1] = s1;
+    st.s[2] = s2;
+    st.s[3] = s3;
 }
 
 }  // namespace gcdr::sim::batch

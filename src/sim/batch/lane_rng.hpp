@@ -1,6 +1,6 @@
 #pragma once
-// Structure-of-arrays bank of per-lane xoshiro256++ streams feeding the
-// batched channel kernel's jitter draws.
+// Per-lane xoshiro256++ streams feeding the batched channel kernel's
+// jitter draws.
 //
 // Contract: for a lane seeded with S, the sequence popped by next(lane)
 // is bit-identical to the sequence util::Rng(S).gaussian() would return —
@@ -10,16 +10,18 @@
 // chunks. Because generation within a lane is strictly sequential and
 // consumption is FIFO, chunking changes nothing about the values.
 //
-// top_up() refills every lane with the SIMD kernel (lanes mapped to
-// vector slots, rejection handled with per-slot masks so a slot that
-// finished or rejected never advances another slot's state); next()
-// falls back to a scalar refill when a lane drains mid-slice. Both
-// refills walk the identical generation recurrence, so the stream is the
-// same no matter which path produced it.
+// Each lane's generator state and FIFO live on cache lines of their own,
+// and refill(lane) touches nothing but that lane, so the kernel's pool
+// threads refill the lanes they run concurrently, without sharing a line
+// and without a serial refill pass between slices. next() falls back to
+// the same refill, a chunk at a time, when a lane drains mid-slice.
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
+
+#include "sim/batch/line_vector.hpp"
+#include "util/rng.hpp"
 
 namespace gcdr::sim::batch {
 
@@ -31,61 +33,49 @@ public:
     /// util::Xoshiro256(seed): four splitmix64 draws plus the zero-state
     /// guard.
     void seed_lane(std::size_t lane, std::uint64_t seed);
+    /// Re-seed one lane from a generator state: the lane then yields what
+    /// util::Rng(gen).gaussian() would (e.g. a long_jump()-separated
+    /// channel stream).
+    void seed_lane(std::size_t lane, const Xoshiro256& gen);
 
-    [[nodiscard]] std::size_t lanes() const { return s0_.size(); }
+    [[nodiscard]] std::size_t lanes() const { return lanes_.size(); }
 
-    /// Standard normals currently buffered for `lane`.
-    [[nodiscard]] std::size_t available(std::size_t lane) const {
-        const Fifo& f = fifo_[lane];
-        return f.buf.size() - f.head;
-    }
-
-    /// Pop the next normal for `lane`; scalar refill on underflow.
+    /// Pop the next normal for `lane`; refills a chunk on underflow.
     double next(std::size_t lane) {
-        Fifo& f = fifo_[lane];
-        if (f.head == f.buf.size()) refill_lane_scalar(lane, kChunk);
-        return f.buf[f.head++];
+        Stream& st = lanes_[lane];
+        if (st.head == st.buf.size()) refill(lane, kChunk);
+        return st.buf[st.head++];
     }
+
+    /// Buffer at least `want` normals for `lane`.
+    void refill(std::size_t lane, std::size_t want);
 
     // Raw window access for a consumer that pops many normals in a tight
     // loop (the lane kernel): read [head(), size()) from data(), then
     // set_head() with the new position before anything else touches the
-    // bank. The window is invalidated by next()/top_up()/seed_lane().
+    // lane. The window is invalidated by next()/refill()/seed_lane().
     [[nodiscard]] const double* data(std::size_t lane) const {
-        return fifo_[lane].buf.data();
+        return lanes_[lane].buf.data();
     }
     [[nodiscard]] std::size_t head(std::size_t lane) const {
-        return fifo_[lane].head;
+        return lanes_[lane].head;
     }
     [[nodiscard]] std::size_t size(std::size_t lane) const {
-        return fifo_[lane].buf.size();
+        return lanes_[lane].buf.size();
     }
     void set_head(std::size_t lane, std::size_t head) {
-        fifo_[lane].head = head;
+        lanes_[lane].head = head;
     }
 
-    /// Refill every lane to at least `want` buffered normals, vectorized
-    /// across lanes (scalar-equivalent when GCDR_SIMD is off).
-    void top_up(std::size_t want);
-
-    /// Doubles per vector register in this build (1 = scalar fallback).
-    [[nodiscard]] static std::size_t simd_width();
-
 private:
-    struct Fifo {
-        std::vector<double> buf;
+    struct alignas(kCacheLine) Stream {
+        std::uint64_t s[4] = {};  ///< xoshiro256++ state
         std::size_t head = 0;
+        LineVector<double> buf;
     };
     static constexpr std::size_t kChunk = 64;
 
-    /// Drop consumed entries so append indices stay small.
-    void compact(std::size_t lane);
-    /// Append >= `want` - available normals via the scalar recurrence.
-    void refill_lane_scalar(std::size_t lane, std::size_t want);
-
-    // xoshiro256++ state, one column per lane.
-    std::vector<std::uint64_t> s0_, s1_, s2_, s3_;
-    std::vector<Fifo> fifo_;
+    std::vector<Stream> lanes_;
 };
 
 }  // namespace gcdr::sim::batch

@@ -6,6 +6,7 @@
 // arcsine (sinusoidal-jitter histogram) and dual-Dirac samplers. Every
 // simulation object takes an explicit seed so runs are reproducible.
 
+#include <array>
 #include <cstdint>
 #include <random>
 
@@ -25,6 +26,12 @@ public:
 
     /// Advance 2^128 steps; gives independent sequences for parallel channels.
     void long_jump();
+
+    /// The four state words, for a consumer that runs the same recurrence
+    /// on its own storage (the batched kernel's per-lane streams).
+    [[nodiscard]] std::array<std::uint64_t, 4> state() const {
+        return {s_[0], s_[1], s_[2], s_[3]};
+    }
 
 private:
     std::uint64_t s_[4];

@@ -2,9 +2,11 @@
 //  - lane-granular bit-identity: lane k of a ChannelBatch run equals a
 //    scalar GccoChannel run with the same seed/config/edges — decisions,
 //    margins, ones count and executed-event count, swept over seeds x
-//    channel counts x thread counts x sampling topologies;
-//  - NormalBank streams equal util::Rng::gaussian(), whether produced by
-//    the vectorized top_up or the scalar on-demand refill;
+//    channel counts x thread counts x sampling topologies, with per-lane
+//    GCCO frequencies and long_jump()-separated stream seeds;
+//  - a run reaching t_end in many uneven run_until() steps equals one
+//    call;
+//  - NormalBank streams equal util::Rng::gaussian();
 //  - SIMD-vs-scalar-fallback equivalence for the convolve axpy kernel
 //    (the -DGCDR_SIMD=OFF CI leg reruns this whole file against the
 //    scalar build, closing the loop from the other side);
@@ -13,8 +15,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "cdr/channel.hpp"
@@ -48,12 +52,10 @@ struct ScalarRun {
     std::uint64_t events = 0;
 };
 
-ScalarRun scalar_lane_run(const cdr::ChannelConfig& cfg,
-                          std::uint64_t noise_seed,
+ScalarRun scalar_lane_run(const cdr::ChannelConfig& cfg, Rng rng,
                           const std::vector<jitter::Edge>& edges,
                           SimTime t_end) {
     sim::Scheduler sched;
-    Rng rng(noise_seed);
     cdr::GccoChannel ch(sched, rng, cfg, "s");
     ch.drive(edges);
     sched.run_until(t_end);
@@ -83,6 +85,15 @@ void expect_lane_matches_scalar(const sim::batch::ChannelBatch& batch,
     EXPECT_EQ(batch.events_executed(lane), ref.events) << "lane " << lane;
 }
 
+/// Lane k's jitter stream in the identity sweep: even lanes take a plain
+/// seed, odd lanes a long_jump()-separated generator state (the
+/// multi-channel receiver's seeding).
+Xoshiro256 lane_stream(std::uint64_t seed, std::size_t k) {
+    Xoshiro256 gen(exec::derive_seed(seed, k));
+    if (k % 2 == 1) gen.long_jump();
+    return gen;
+}
+
 TEST(ChannelBatch, LaneBitIdentityAcrossSeedsChannelsAndTopologies) {
     constexpr std::size_t kBits = 300;
     for (const bool improved : {false, true}) {
@@ -98,19 +109,90 @@ TEST(ChannelBatch, LaneBitIdentityAcrossSeedsChannelsAndTopologies) {
                                         std::size_t{8}}) {
                 sim::batch::ChannelBatch batch(cfg, n);
                 std::vector<std::vector<jitter::Edge>> edges(n);
+                std::vector<cdr::ChannelConfig> lane_cfg(n, cfg);
                 for (std::size_t k = 0; k < n; ++k) {
                     edges[k] = lane_edges(exec::derive_seed(seed, 1000 + k),
                                           kBits, sp);
-                    batch.seed_lane(k, exec::derive_seed(seed, k));
+                    if (k % 2 == 0) {
+                        batch.seed_lane(k, exec::derive_seed(seed, k));
+                    } else {
+                        batch.seed_lane(k, lane_stream(seed, k));
+                    }
+                    // Per-lane CCO mismatch (lane 0 keeps the shared
+                    // frequency), set the way MultiChannelCdr does.
+                    if (k > 0) {
+                        lane_cfg[k].gcco.fc_hz *=
+                            1.0 + 1.5e-3 * (static_cast<double>(k % 3) - 1.0);
+                        batch.set_lane_frequency(
+                            k, lane_cfg[k].gcco.frequency_at(
+                                   lane_cfg[k].control_current_a));
+                    }
                     batch.drive(k, edges[k]);
                 }
                 batch.run_until(t_end);
                 for (std::size_t k = 0; k < n; ++k) {
                     const auto ref = scalar_lane_run(
-                        cfg, exec::derive_seed(seed, k), edges[k], t_end);
+                        lane_cfg[k], Rng(lane_stream(seed, k)), edges[k],
+                        t_end);
                     expect_lane_matches_scalar(batch, k, ref);
                 }
             }
+        }
+    }
+}
+
+TEST(ChannelBatch, UnevenRunUntilStepsEqualOneCall) {
+    // health_probe-style framing: t_end reached in many uneven steps —
+    // shorter and longer than a slice, a repeated target, and a step at
+    // t = 0 that only runs the GCCO kick — must execute the same events
+    // as one call, serially and on a pool.
+    constexpr std::size_t kBits = 3000;  // ~3 slices
+    constexpr std::size_t kLanes = 5;
+    const auto cfg = cdr::ChannelConfig::nominal(2.5e9);
+    jitter::StreamParams sp;
+    sp.spec = jitter::JitterSpec::paper_table1();
+    sp.start = SimTime::ns(4);
+    const SimTime t_end =
+        sp.start + cfg.rate.ui_to_time(static_cast<double>(kBits));
+    const std::int64_t end_fs = t_end.femtoseconds();
+
+    auto build = [&] {
+        auto batch = std::make_unique<sim::batch::ChannelBatch>(cfg, kLanes);
+        for (std::size_t k = 0; k < kLanes; ++k) {
+            batch->seed_lane(k, lane_stream(21, k));
+            batch->drive(k, lane_edges(exec::derive_seed(21, 100 + k), kBits,
+                                       sp));
+        }
+        return batch;
+    };
+    const auto once = build();
+    once->run_until(t_end);
+
+    Rng cut_rng(8);
+    std::vector<std::int64_t> cuts = {0, end_fs / 3, end_fs / 3};
+    for (int i = 0; i < 11; ++i) {
+        cuts.push_back(static_cast<std::int64_t>(
+            cut_rng.uniform() * static_cast<double>(end_fs)));
+    }
+    std::sort(cuts.begin(), cuts.end());
+    cuts.push_back(end_fs);
+
+    exec::ThreadPool pool(3);
+    for (exec::ThreadPool* p : {static_cast<exec::ThreadPool*>(nullptr),
+                                &pool}) {
+        const auto stepped = build();
+        for (const std::int64_t t : cuts) stepped->run_until(SimTime{t}, p);
+        for (std::size_t k = 0; k < kLanes; ++k) {
+            const auto& a = stepped->decisions(k);
+            const auto& b = once->decisions(k);
+            ASSERT_EQ(a.size(), b.size()) << "lane " << k;
+            for (std::size_t i = 0; i < a.size(); ++i) {
+                EXPECT_EQ(a[i].time, b[i].time) << "lane " << k << " " << i;
+                EXPECT_EQ(a[i].bit, b[i].bit) << "lane " << k << " " << i;
+            }
+            EXPECT_EQ(stepped->margins_ui(k), once->margins_ui(k));
+            EXPECT_EQ(stepped->ones(k), once->ones(k));
+            EXPECT_EQ(stepped->events_executed(k), once->events_executed(k));
         }
     }
 }
@@ -168,29 +250,6 @@ TEST(NormalBank, MatchesRngGaussianStream) {
             EXPECT_EQ(bank.next(0), r0.gaussian()) << i;
             EXPECT_EQ(bank.next(1), r1.gaussian()) << i;
             EXPECT_EQ(bank.next(2), r2.gaussian()) << i;
-        }
-    }
-}
-
-TEST(NormalBank, VectorTopUpEqualsScalarRefill) {
-    // Bank A refills exclusively through the (possibly SIMD) top_up;
-    // bank B through the scalar on-demand path. Streams must agree no
-    // matter how refills interleave with consumption.
-    constexpr std::size_t kLanes = 5;  // odd: exercises the remainder tile
-    sim::batch::NormalBank a(kLanes), b(kLanes);
-    for (std::size_t l = 0; l < kLanes; ++l) {
-        a.seed_lane(l, 42 + l);
-        b.seed_lane(l, 42 + l);
-    }
-    for (int round = 0; round < 20; ++round) {
-        a.top_up(64);
-        // Uneven consumption so lanes sit at different stream offsets.
-        for (std::size_t l = 0; l < kLanes; ++l) {
-            const int n = 13 + static_cast<int>(l) * 7 + round;
-            for (int i = 0; i < n; ++i) {
-                EXPECT_EQ(a.next(l), b.next(l))
-                    << "lane " << l << " round " << round << " draw " << i;
-            }
         }
     }
 }

@@ -267,7 +267,7 @@ TEST(Xoshiro, LongJumpIsDeterministic) {
 }
 
 TEST(MultiChannelCdr, ParallelRunBitIdenticalToSerial) {
-    // Two per-channel-scheduler receivers with the same seed and inputs;
+    // Two receivers with the same seed and inputs;
     // one runs its channels serially, the other on a 4-lane pool. The
     // recovered system-domain streams must match bit for bit.
     const auto build_and_run = [](ThreadPool* pool) {

@@ -126,10 +126,9 @@ TEST(CrossModel, StatModelIsConservativeVsBehavioralAtDesignPoint) {
 }
 
 TEST(MultiChannel, FourLanesRecoverSkewedPayload) {
-    sim::Scheduler sched;
-    Rng rng(17);
+    Rng rng(17);  // drives the lane payload jitter realizations
     auto cfg = cdr::MultiChannelConfig::paper_receiver();
-    cdr::MultiChannelCdr rx(sched, rng, cfg);
+    cdr::MultiChannelCdr rx(/*seed=*/17, cfg);
     ASSERT_NEAR(rx.pll().vco_frequency_hz(), 2.5e9, 2.5e9 * 1e-5);
 
     const SimTime skews[4] = {SimTime::ps(0), SimTime::ps(610),
@@ -144,7 +143,7 @@ TEST(MultiChannel, FourLanesRecoverSkewedPayload) {
         sp.start = SimTime::ns(4) + skews[lane];
         rx.drive(lane, jitter::jittered_edges(tx[lane], sp, rng));
     }
-    sched.run_until(SimTime::ns(4) + kPaperRate.ui_to_time(3990));
+    rx.run_until(SimTime::ns(4) + kPaperRate.ui_to_time(3990));
     for (int lane = 0; lane < 4; ++lane) {
         EXPECT_LT(rx.channel(lane).measured_prbs_ber(
                       encoding::PrbsOrder::kPrbs7),
@@ -155,18 +154,17 @@ TEST(MultiChannel, FourLanesRecoverSkewedPayload) {
 }
 
 TEST(MultiChannel, ElasticDrainPreservesStreams) {
-    sim::Scheduler sched;
     Rng rng(19);
     auto cfg = cdr::MultiChannelConfig::paper_receiver();
     cfg.n_channels = 2;
-    cdr::MultiChannelCdr rx(sched, rng, cfg);
+    cdr::MultiChannelCdr rx(/*seed=*/19, cfg);
     for (int lane = 0; lane < 2; ++lane) {
         encoding::PrbsGenerator gen(encoding::PrbsOrder::kPrbs7, 5 + lane);
         jitter::StreamParams sp;
         sp.start = SimTime::ns(4);
         rx.drive(lane, jitter::jittered_edges(gen.bits(2000), sp, rng));
     }
-    sched.run_until(SimTime::ns(4) + kPaperRate.ui_to_time(1996));
+    rx.run_until(SimTime::ns(4) + kPaperRate.ui_to_time(1996));
     const auto lanes = rx.drain_elastic();
     for (int lane = 0; lane < 2; ++lane) {
         // All recovered bits present after the priming zeros.

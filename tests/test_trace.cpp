@@ -353,11 +353,10 @@ TEST(FlightIntegration, MultiChannelLockLossDumpsPostMortem) {
     fcfg.dump_dir = fresh_dir("lockloss");
     obs::FlightRecorder rec(fcfg);
 
-    sim::Scheduler sched;
     Rng rng(3);
     auto cfg = cdr::MultiChannelConfig::paper_receiver();
     cfg.n_channels = 2;
-    cdr::MultiChannelCdr mc(sched, rng, cfg);
+    cdr::MultiChannelCdr mc(/*seed=*/3, cfg);
     mc.enable_flight_recorder(rec, 1024);
 
     encoding::PrbsGenerator gen(encoding::PrbsOrder::kPrbs7);
