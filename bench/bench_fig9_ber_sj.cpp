@@ -33,8 +33,11 @@ int main(int argc, char** argv) {
     if (!opts.quiet) {
         bench::header("Fig 9",
                       "BER vs sinusoidal jitter frequency and amplitude");
-        std::printf("[sweep pool: %zu lane(s), seed %llu]\n", pool.size(),
-                    static_cast<unsigned long long>(report.seed()));
+        // stderr: the lane count is the one line that may differ between
+        // --threads settings, and stdout must not.
+        std::fprintf(stderr, "[sweep pool: %zu lane(s), seed %llu]\n",
+                     pool.size(),
+                     static_cast<unsigned long long>(report.seed()));
     }
 
     statmodel::ModelConfig base;  // Table 1, CID cap 5, mid-bit sampling

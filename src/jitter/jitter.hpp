@@ -22,6 +22,8 @@ struct JitterSpec {
 
     /// The paper's Table 1 values at 2.5 Gb/s (SJ swept by the experiments).
     static JitterSpec paper_table1() { return JitterSpec{}; }
+
+    bool operator==(const JitterSpec&) const = default;
 };
 
 /// Deterministic time-domain phase of sinusoidal jitter, in UI:

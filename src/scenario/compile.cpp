@@ -49,6 +49,17 @@ exec::SweepGrid compile_grid(const TaskSpec& task) {
     return grid;
 }
 
+statmodel::ModelConfig compile_point_model(
+    const statmodel::ModelConfig& base, const TaskSpec& task,
+    const exec::SweepPoint& p) {
+    statmodel::ModelConfig cfg = base;
+    for (std::size_t a = 0; a < task.axes.size(); ++a) {
+        // Axis names were validated at load time; apply cannot fail.
+        (void)apply_model_field(cfg, task.axes[a].name, p.value[a]);
+    }
+    return cfg;
+}
+
 mc::McBudget compile_budget(const McSpec& mc, std::uint64_t base_seed) {
     mc::McBudget budget;
     budget.target_rel_err = mc.target_rel_err;

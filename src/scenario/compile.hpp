@@ -3,10 +3,11 @@
 // "generate" half of the netlist idiom. compile_netlist() turns the
 // declarative instances/wires into a cdr::MultiChannelConfig plus one
 // CompiledLane per channel (the drive recipe: which PRBS, how many bits,
-// what skew); compile_grid()/compile_budget() map the sweep and MC
-// sections onto exec::SweepGrid and mc::McBudget. Compilation is total on
-// validated documents: every structural error is caught by the loader, so
-// these functions do not fail.
+// what skew); compile_grid()/compile_point_model()/compile_budget() map
+// the sweep and MC sections onto exec::SweepGrid, statmodel::ModelConfig
+// and mc::McBudget. Compilation is total on validated documents: every
+// structural error is caught by the loader, so these functions do not
+// fail.
 
 #include <cstdint>
 #include <string>
@@ -47,6 +48,12 @@ struct CompiledNetlist {
 /// Sweep grid of a ber_surface task, axes in document order — the same
 /// row-major point order as the hard-coded benches.
 [[nodiscard]] exec::SweepGrid compile_grid(const TaskSpec& task);
+
+/// The model at one grid point of a ber_surface task: `base` with the
+/// point's axis values applied.
+[[nodiscard]] statmodel::ModelConfig compile_point_model(
+    const statmodel::ModelConfig& base, const TaskSpec& task,
+    const exec::SweepPoint& p);
 
 /// MC budget with the run's base seed filled in.
 [[nodiscard]] mc::McBudget compile_budget(const McSpec& mc,

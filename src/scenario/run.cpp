@@ -32,7 +32,9 @@ namespace {
 // grid (ShardedCounter on <prefix>.ber_evals), histograms recorded
 // serially in row-major order afterwards, then one jtol_curve parallel_for
 // over the contour frequencies. Two pool jobs total — the same exec.jobs /
-// exec.items a hard-coded surface bench produces.
+// exec.items a hard-coded surface bench produces. The map reads one model
+// built at the grid's first point: every point whose axes leave the edge
+// PDFs alone (SJ, offset, mismatch) reuses its PDFs, bit-identically.
 
 TaskResult run_ber_surface(const ScenarioDoc& doc, const TaskSpec& task,
                            const ScenarioContext& ctx) {
@@ -51,15 +53,14 @@ TaskResult run_ber_surface(const ScenarioDoc& doc, const TaskSpec& task,
     std::vector<double> surface;
     {
         obs::ScopedTimer t(&reg, task.prefix + ".surface_seconds");
+        const statmodel::GatedOscStatModel model(
+            grid.size() > 0
+                ? compile_point_model(base, task, grid.point(0, ctx.seed))
+                : base);
         obs::ShardedCounter eval_shards(*evals, pool.size());
         surface = runner.map<double>([&](const exec::SweepPoint& p) {
-            statmodel::ModelConfig cfg = base;
-            for (std::size_t a = 0; a < task.axes.size(); ++a) {
-                (void)apply_model_field(cfg, task.axes[a].name,
-                                        p.value[a]);
-            }
             eval_shards.inc(exec::ThreadPool::lane_index());
-            return statmodel::ber_of(cfg);
+            return model.ber_at(compile_point_model(base, task, p));
         });
         eval_shards.flush();
     }

@@ -8,6 +8,7 @@
 
 #include "obs/canonical.hpp"
 #include "obs/json.hpp"
+#include "scenario/compile.hpp"
 #include "util/hash.hpp"
 #include "util/mathx.hpp"
 
@@ -332,10 +333,9 @@ void parse_model(Ctx& ctx, const obs::JsonValue& v,
     }
     if (cfg.grid_dx <= 0.0 || cfg.grid_dx > 0.1) {
         ctx.fail(&v, "model.grid_dx", "want in (0, 0.1]");
-    }
-    if (cfg.spec.dj_uipp < 0.0 || cfg.spec.rj_uirms < 0.0 ||
-        cfg.spec.sj_uipp < 0.0 || cfg.spec.ckj_uirms < 0.0) {
-        ctx.fail(&v, "model", "jitter budget terms must be >= 0");
+    } else if (const std::string why = statmodel::check_model_config(cfg);
+               !why.empty()) {
+        ctx.fail(&v, "model", why);
     }
 }
 
@@ -950,6 +950,32 @@ void parse_task(Ctx& ctx, const obs::JsonValue& v, const std::string& tp,
     }
 }
 
+/// Every grid point of a ber_surface task, the model with its axis values
+/// applied, must pass statmodel::check_model_config: the axes can move
+/// grid_dx and the jitter terms past the model section's checks.
+void check_surface_points(Ctx& ctx, const obs::JsonValue& root,
+                          std::size_t index,
+                          const statmodel::ModelConfig& model,
+                          const TaskSpec& task) {
+    const std::string tp = "tasks[" + std::to_string(index) + "].axes";
+    const obs::JsonValue* at = &root;
+    const obs::JsonValue* tasks = root.find("tasks");
+    if (tasks && index < tasks->items.size()) {
+        if (const obs::JsonValue* axes = tasks->items[index].find("axes")) {
+            at = axes;
+        }
+    }
+    const exec::SweepGrid grid = compile_grid(task);
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+        const std::string why = statmodel::check_model_config(
+            compile_point_model(model, task, grid.point(i, 0)));
+        if (!why.empty()) {
+            ctx.fail(at, tp, "grid point " + std::to_string(i) + ": " + why);
+            return;
+        }
+    }
+}
+
 }  // namespace
 
 bool scenario_from_json(const obs::JsonValue& root, ScenarioDoc& doc,
@@ -1026,6 +1052,9 @@ bool scenario_from_json(const obs::JsonValue& root, ScenarioDoc& doc,
                 ctx.fail(&root, "tasks[" + std::to_string(i) + "]",
                          std::string(task_kind_name(doc.tasks[i].kind)) +
                              " task needs a \"netlist\" section");
+            }
+            if (doc.tasks[i].kind == TaskSpec::Kind::kBerSurface) {
+                check_surface_points(ctx, root, i, doc.model, doc.tasks[i]);
             }
         }
     }

@@ -31,7 +31,8 @@
 // offsets recorded per value by obs/json_parse). A typo must never
 // silently fall back to a default: the daemon caches results under the
 // document's canonical hash, and a half-understood document would poison
-// the cache under a wrong key.
+// the cache under a wrong key. The model, and the model at every
+// ber_surface grid point, must pass statmodel::check_model_config.
 //
 // Canonical form: resolved_json() re-serializes a loaded document with
 // every field explicit (defaults resolved, generators expanded, keys

@@ -39,6 +39,17 @@ void append_number(std::string& out, bool& first, std::string_view key,
     append_field(out, first, key, canonical_number(value, {}));
 }
 
+/// The sweep's config with one point's axis values applied. Names were
+/// validated at parse time; apply cannot fail here.
+statmodel::ModelConfig point_config(const JobSpec& sweep,
+                                    const exec::SweepPoint& p) {
+    statmodel::ModelConfig cfg = sweep.cfg;
+    for (std::size_t a = 0; a < sweep.axes.size(); ++a) {
+        (void)apply_config_field(cfg, sweep.axes[a].name, p.value[a]);
+    }
+    return cfg;
+}
+
 }  // namespace
 
 const char* job_type_name(JobType t) {
@@ -291,6 +302,25 @@ bool parse_job(const obs::JsonValue& v, JobSpec& spec, std::string& error) {
         error = "\"scenario\" only valid for scenario jobs";
         return false;
     }
+    if (spec.type != JobType::kScenario) {
+        // The config and every sweep point must fit the PDF grid bounds
+        // before a worker builds a model from them.
+        std::string why = statmodel::check_model_config(spec.cfg);
+        if (!why.empty()) {
+            error = "config." + why;
+            return false;
+        }
+        exec::SweepGrid grid;
+        for (const auto& axis : spec.axes) grid.axis(axis.name, axis.values);
+        for (std::size_t i = 0; i < grid.size(); ++i) {
+            why = statmodel::check_model_config(
+                point_config(spec, grid.point(i, spec.seed)));
+            if (!why.empty()) {
+                error = "axes: sweep point " + std::to_string(i) + ": " + why;
+                return false;
+            }
+        }
+    }
     return true;
 }
 
@@ -372,10 +402,7 @@ JobSpec sweep_point_spec(const JobSpec& sweep, const exec::SweepPoint& p) {
     JobSpec point = sweep;
     point.type = JobType::kBer;
     point.axes.clear();
-    for (std::size_t a = 0; a < sweep.axes.size(); ++a) {
-        // Names were validated at parse time; apply cannot fail here.
-        (void)apply_config_field(point.cfg, sweep.axes[a].name, p.value[a]);
-    }
+    point.cfg = point_config(sweep, p);
     point.seed = p.seed;
     return point;
 }

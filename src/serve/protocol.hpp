@@ -23,7 +23,9 @@
 // ("weighted"|"worst_case"), and the jitter budget dj_uipp / rj_uirms /
 // sj_uipp / ckj_uirms. Unknown keys are a hard parse error — a typo that
 // silently fell back to a default would poison the cache under a wrong
-// key.
+// key. The resolved config, and a sweep's config at every grid point,
+// must pass statmodel::check_model_config, which bounds the PDF grid a
+// worker would allocate.
 //
 // Content addressing: the cache key hashes the RESOLVED spec — every
 // field explicitly re-serialized from the parsed struct in sorted key
@@ -90,7 +92,8 @@ struct JobSpec {
                                       std::string_view name, double value);
 
 /// Parse a gcdr.serve.job/v1 object. On failure returns false and fills
-/// `error` with a one-line reason (unknown key, bad type, empty axis...).
+/// `error` with a one-line reason (unknown key, bad type, empty axis, a
+/// config or sweep point check_model_config rejects...).
 [[nodiscard]] bool parse_job(const obs::JsonValue& v, JobSpec& spec,
                              std::string& error);
 

@@ -1,9 +1,13 @@
 #include "statmodel/gated_osc_model.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
+#include <cstdio>
 #include <numbers>
+#include <stdexcept>
+#include <utility>
 
 #include "util/mathx.hpp"
 
@@ -32,30 +36,31 @@ double mean_run_length(const std::vector<double>& p) {
     return m;
 }
 
-}  // namespace
-
-GatedOscStatModel::GatedOscStatModel(const ModelConfig& cfg) : cfg_(cfg) {
-    assert(cfg_.max_cid >= 1);
-    assert(cfg_.grid_dx > 0.0);
+double sample_instant_ui(const ModelConfig& c, int k) {
+    return (static_cast<double>(k) - 0.5 - c.sampling_advance_ui) *
+           (1.0 + c.freq_offset);
 }
 
-double GatedOscStatModel::sample_instant_ui(int k) const {
-    return (static_cast<double>(k) - 0.5 - cfg_.sampling_advance_ui) *
-           (1.0 + cfg_.freq_offset);
-}
-
-double GatedOscStatModel::osc_sigma_ui(int k) const {
+double osc_sigma_ui(const ModelConfig& c, int k) {
     // CKJ is quoted at cid_ref bit periods of free run; white-noise
     // accumulation scales as sqrt(elapsed time).
     const double elapsed_ui =
-        std::max(0.0, static_cast<double>(k) - 0.5 - cfg_.sampling_advance_ui);
-    return cfg_.spec.ckj_uirms *
-           std::sqrt(elapsed_ui / static_cast<double>(cfg_.cid_ref));
+        std::max(0.0, static_cast<double>(k) - 0.5 - c.sampling_advance_ui);
+    return c.spec.ckj_uirms *
+           std::sqrt(elapsed_ui / static_cast<double>(c.cid_ref));
 }
 
-stats::GridPdf GatedOscStatModel::relative_edge_pdf(int run_length) const {
+/// RJ of both edges and the oscillator's accumulated jitter are
+/// independent Gaussians; combined into one.
+double edge_sigma_ui(const ModelConfig& c, int run_length) {
+    const double rj2 = 2.0 * c.spec.rj_uirms * c.spec.rj_uirms;
+    const double osc = osc_sigma_ui(c, run_length);
+    return std::sqrt(rj2 + osc * osc);
+}
+
+stats::GridPdf relative_edge_pdf(const ModelConfig& c, int run_length) {
     // PDF of (closing-edge jitter) - (sample-instant jitter), in UI.
-    const double dx = cfg_.grid_dx;
+    const double dx = c.grid_dx;
     std::vector<stats::GridPdf> parts;
 
     // DJ enters once, not from both edges: deterministic jitter in serial
@@ -64,100 +69,179 @@ stats::GridPdf GatedOscStatModel::relative_edge_pdf(int run_length) const {
     // relative to the recovered clock. Treating the trigger and closing
     // edges' DJ as independent would double-count it and push the Table 1
     // budget's BER floor to ~1e-7, contradicting the paper's Fig 9.
-    if (cfg_.spec.dj_uipp > 0.0) {
-        parts.push_back(stats::GridPdf::uniform(cfg_.spec.dj_uipp, dx));
+    if (c.spec.dj_uipp > 0.0) {
+        parts.push_back(stats::GridPdf::uniform(c.spec.dj_uipp, dx));
     }
-    // RJ of both edges and the oscillator's accumulated jitter are
-    // independent Gaussians; combine into one.
-    const double rj2 = 2.0 * cfg_.spec.rj_uirms * cfg_.spec.rj_uirms;
-    const double osc = osc_sigma_ui(run_length);
-    const double sigma = std::sqrt(rj2 + osc * osc);
+    const double sigma = edge_sigma_ui(c, run_length);
     if (sigma > 0.0) {
         parts.push_back(stats::GridPdf::gaussian(sigma, dx));
     }
-    return stats::convolve_all(parts, dx, cfg_.pdf_prune_floor);
+    return stats::convolve_all(parts, dx, c.pdf_prune_floor);
 }
 
-double GatedOscStatModel::sj_effective_amplitude(int run_length) const {
+double sj_effective_amplitude(const ModelConfig& c, int run_length) {
     // Coherent sinusoid sampled `run_length` UI apart: the difference is a
     // sinusoid of amplitude A_pp * |sin(pi * f_norm * L)|. (A_pp because
     // the jitter sinusoid's own amplitude is A_pp/2 and the difference
     // doubles it at the resonant spacing.)
-    if (cfg_.spec.sj_uipp <= 0.0 || cfg_.sj_freq_norm <= 0.0) return 0.0;
-    return cfg_.spec.sj_uipp *
-           std::abs(std::sin(std::numbers::pi * cfg_.sj_freq_norm *
+    if (c.spec.sj_uipp <= 0.0 || c.sj_freq_norm <= 0.0) return 0.0;
+    return c.spec.sj_uipp *
+           std::abs(std::sin(std::numbers::pi * c.sj_freq_norm *
                              static_cast<double>(run_length)));
 }
 
+double early_error(const ModelConfig& c) {
+    // First bit of a run sampled before its own trigger: the trigger is
+    // the common time reference, so only the oscillator's short-horizon
+    // jitter and the EDET/DDIN path mismatch apply.
+    const double s1 = sample_instant_ui(c, 1);
+    const double osc = osc_sigma_ui(c, 1);
+    const double mm = c.trigger_mismatch_uirms;
+    const double sigma = std::sqrt(osc * osc + mm * mm);
+    if (sigma <= 0.0) return s1 < 0.0 ? 1.0 : 0.0;
+    return q_function(s1 / sigma);
+}
+
+/// sin(theta_i) at the N sinusoid phases theta_i = 2*pi*(i + 1/2)/N of the
+/// rectangle-rule SJ phase average.
+template <std::size_t N>
+std::array<double, N> sj_phase_sines() {
+    std::array<double, N> s{};
+    for (std::size_t i = 0; i < N; ++i) {
+        const double theta = 2.0 * std::numbers::pi *
+                             (static_cast<double>(i) + 0.5) /
+                             static_cast<double>(N);
+        s[i] = std::sin(theta);
+    }
+    return s;
+}
+
+}  // namespace
+
+std::string check_model_config(const ModelConfig& cfg) {
+    // Negated comparisons so NaN fails too.
+    if (!(cfg.grid_dx > 0.0)) return "grid_dx: want > 0";
+    const std::pair<const char*, double> terms[] = {
+        {"dj_uipp", cfg.spec.dj_uipp},
+        {"rj_uirms", cfg.spec.rj_uirms},
+        {"sj_uipp", cfg.spec.sj_uipp},
+        {"ckj_uirms", cfg.spec.ckj_uirms},
+    };
+    for (const auto& [name, value] : terms) {
+        if (!(value >= 0.0)) return std::string(name) + ": want >= 0";
+    }
+    if (cfg.max_cid < 1) return "max_cid: want >= 1";
+    if (cfg.cid_ref < 1) return "cid_ref: want >= 1";
+    // The widest PDF is the longest run's (its oscillator jitter has
+    // accumulated longest): the DJ uniform convolved with the Gaussian.
+    const double bins =
+        stats::GridPdf::uniform_bins(cfg.spec.dj_uipp, cfg.grid_dx) +
+        stats::GridPdf::gaussian_bins(edge_sigma_ui(cfg, cfg.max_cid),
+                                      cfg.grid_dx) -
+        1.0;
+    if (!(bins <= static_cast<double>(kMaxEdgePdfBins))) {
+        char msg[160];
+        std::snprintf(msg, sizeof msg,
+                      "grid_dx: too fine for the jitter budget, an edge "
+                      "PDF would need %.3g bins (cap %zu)",
+                      bins, kMaxEdgePdfBins);
+        return msg;
+    }
+    return {};
+}
+
+GatedOscStatModel::GatedOscStatModel(const ModelConfig& cfg) : cfg_(cfg) {
+    assert(cfg_.max_cid >= 1);
+    assert(cfg_.grid_dx > 0.0);
+    edge_pdfs_.reserve(static_cast<std::size_t>(cfg_.max_cid));
+    for (int l = 1; l <= cfg_.max_cid; ++l) {
+        edge_pdfs_.push_back(relative_edge_pdf(cfg_, l));
+    }
+}
+
+bool GatedOscStatModel::shares_pdfs(const ModelConfig& point) const {
+    ModelConfig same_pdfs = point;
+    same_pdfs.spec.sj_uipp = cfg_.spec.sj_uipp;
+    same_pdfs.spec.sj_freq_hz = cfg_.spec.sj_freq_hz;
+    same_pdfs.sj_freq_norm = cfg_.sj_freq_norm;
+    same_pdfs.freq_offset = cfg_.freq_offset;
+    same_pdfs.trigger_mismatch_uirms = cfg_.trigger_mismatch_uirms;
+    same_pdfs.run_model = cfg_.run_model;
+    return same_pdfs == cfg_;
+}
+
+double GatedOscStatModel::ber_at(const ModelConfig& point) const {
+    return shares_pdfs(point) ? ber(point) : ber_of(point);
+}
+
 double GatedOscStatModel::late_error_prob(int run_length) const {
+    if (run_length < 1 || run_length > cfg_.max_cid) {
+        throw std::out_of_range("late_error_prob: run length outside "
+                                "[1, max_cid]");
+    }
+    return late_error_prob(cfg_, run_length);
+}
+
+double GatedOscStatModel::late_error_prob(const ModelConfig& c,
+                                          int run_length) const {
     // Error when  L + dJ  <  s_L  + osc_jitter:  P(X + S < margin)  with
     // X = (DJ + RJ + osc) relative PDF, S the effective SJ sinusoid and
     // margin = s_L - L (in UI). The SJ average is taken exactly over the
     // sinusoid phase (512-point rectangle rule) instead of convolving an
     // arcsine PDF — same math, no grid blow-up at multi-UI amplitudes.
     const double margin =
-        sample_instant_ui(run_length) - static_cast<double>(run_length);
-    const auto pdf = relative_edge_pdf(run_length);
-    const double a_eff = sj_effective_amplitude(run_length);
+        sample_instant_ui(c, run_length) - static_cast<double>(run_length);
+    const stats::GridPdf& pdf =
+        edge_pdfs_[static_cast<std::size_t>(run_length - 1)];
+    const double a_eff = sj_effective_amplitude(c, run_length);
     if (a_eff <= 0.0) {
         return std::min(1.0, pdf.tail_below(margin));
     }
-    constexpr int kPhases = 512;
+    constexpr std::size_t kPhases = 512;
+    static const std::array<double, kPhases> kSines =
+        sj_phase_sines<kPhases>();
     double acc = 0.0;
-    for (int i = 0; i < kPhases; ++i) {
-        const double theta = 2.0 * std::numbers::pi *
-                             (static_cast<double>(i) + 0.5) /
-                             static_cast<double>(kPhases);
-        acc += pdf.tail_below(margin - a_eff * std::sin(theta));
+    for (double s : kSines) {
+        acc += pdf.tail_below(margin - a_eff * s);
     }
     return std::min(1.0, acc / static_cast<double>(kPhases));
 }
 
 double GatedOscStatModel::early_error_prob() const {
-    // First bit of a run sampled before its own trigger: the trigger is
-    // the common time reference, so only the oscillator's short-horizon
-    // jitter and the EDET/DDIN path mismatch apply.
-    const double s1 = sample_instant_ui(1);
-    const double osc = osc_sigma_ui(1);
-    const double mm = cfg_.trigger_mismatch_uirms;
-    const double sigma = std::sqrt(osc * osc + mm * mm);
-    if (sigma <= 0.0) return s1 < 0.0 ? 1.0 : 0.0;
-    return q_function(s1 / sigma);
+    return early_error(cfg_);
 }
 
-double GatedOscStatModel::ber() const {
-    if (cfg_.run_model == RunModel::kWorstCase) {
+double GatedOscStatModel::ber() const { return ber(cfg_); }
+
+double GatedOscStatModel::ber(const ModelConfig& c) const {
+    if (c.run_model == RunModel::kWorstCase) {
         return std::min(1.0,
-                        late_error_prob(cfg_.max_cid) + early_error_prob());
+                        late_error_prob(c, c.max_cid) + early_error(c));
     }
-    const auto probs = run_length_probs(cfg_.max_cid);
+    const auto probs = run_length_probs(c.max_cid);
     const double mean_l = mean_run_length(probs);
-    double errors_per_run = early_error_prob();
-    for (int l = 1; l <= cfg_.max_cid; ++l) {
-        errors_per_run += probs[l - 1] * late_error_prob(l);
+    double errors_per_run = early_error(c);
+    for (int l = 1; l <= c.max_cid; ++l) {
+        errors_per_run += probs[l - 1] * late_error_prob(c, l);
     }
     return std::min(1.0, errors_per_run / mean_l);
 }
 
 double GatedOscStatModel::eye_margin_ui(double ber_target) const {
     const int L = cfg_.max_cid;
-    const auto pdf = relative_edge_pdf(L);
-    const double a_eff = sj_effective_amplitude(L);
+    const stats::GridPdf& pdf = edge_pdfs_.back();
+    const double a_eff = sj_effective_amplitude(cfg_, L);
     // SJ-phase-averaged lower tail at offset x.
+    constexpr std::size_t kPhases = 128;
+    const std::array<double, kPhases> sines = sj_phase_sines<kPhases>();
     auto tail_at = [&](double x) {
         if (a_eff <= 0.0) return pdf.tail_below(x);
-        constexpr int kPhases = 128;
         double acc = 0.0;
-        for (int i = 0; i < kPhases; ++i) {
-            const double theta = 2.0 * std::numbers::pi *
-                                 (static_cast<double>(i) + 0.5) /
-                                 static_cast<double>(kPhases);
-            acc += pdf.tail_below(x - a_eff * std::sin(theta));
-        }
+        for (double s : sines) acc += pdf.tail_below(x - a_eff * s);
         return acc / static_cast<double>(kPhases);
     };
     const double margin =
-        sample_instant_ui(L) - static_cast<double>(L);
+        sample_instant_ui(cfg_, L) - static_cast<double>(L);
     // Walk the margin left until the tail mass drops below target: the
     // distance walked is the margin to the 1e-12 contour.
     const double dx = cfg_.grid_dx;
@@ -175,14 +259,18 @@ double ber_of(const ModelConfig& cfg) {
     return GatedOscStatModel(cfg).ber();
 }
 
-double jtol_amplitude(ModelConfig base, double sj_freq_norm,
-                      double ber_target, double amp_cap) {
+namespace {
+
+/// jtol_amplitude's bisection, every step evaluated on `model`'s PDFs.
+double jtol_search(const GatedOscStatModel& model, double sj_freq_norm,
+                   double ber_target, double amp_cap) {
+    ModelConfig base = model.config();
     base.sj_freq_norm = sj_freq_norm;
 
-    auto ber_at = [&base](double amp) {
+    auto ber_at = [&](double amp) {
         ModelConfig c = base;
         c.spec.sj_uipp = amp;
-        return ber_of(c);
+        return model.ber_at(c);
     };
 
     if (ber_at(amp_cap) <= ber_target) return amp_cap;
@@ -200,15 +288,25 @@ double jtol_amplitude(ModelConfig base, double sj_freq_norm,
     return lo;
 }
 
+}  // namespace
+
+double jtol_amplitude(ModelConfig base, double sj_freq_norm,
+                      double ber_target, double amp_cap) {
+    return jtol_search(GatedOscStatModel(base), sj_freq_norm, ber_target,
+                       amp_cap);
+}
+
 std::vector<masks::MaskPoint> jtol_curve(const ModelConfig& base,
                                          const std::vector<double>& sj_freq_norms,
                                          LinkRate rate, double ber_target,
                                          exec::ThreadPool* pool) {
+    const GatedOscStatModel model(base);
     std::vector<masks::MaskPoint> out(sj_freq_norms.size());
     auto eval_point = [&](std::size_t i) {
         const double fn = sj_freq_norms[i];
+        // 100 UIpp: jtol_amplitude's default search cap.
         out[i] = masks::MaskPoint{fn * rate.bits_per_second(),
-                                  jtol_amplitude(base, fn, ber_target)};
+                                  jtol_search(model, fn, ber_target, 100.0)};
     };
     if (pool) {
         pool->parallel_for(out.size(), eval_point);
@@ -219,10 +317,11 @@ std::vector<masks::MaskPoint> jtol_curve(const ModelConfig& base,
 }
 
 double ftol(ModelConfig base, double ber_target) {
-    auto ber_at = [&base](double delta) {
+    const GatedOscStatModel model(base);
+    auto ber_at = [&](double delta) {
         ModelConfig c = base;
         c.freq_offset = delta;
-        return ber_of(c);
+        return model.ber_at(c);
     };
     // FTOL is quoted as a symmetric bound: the smaller of the two one-sided
     // tolerances (a slow oscillator fails sooner than a fast one at the

@@ -32,14 +32,27 @@
 // length law truncated at the encoding's CID cap (5 for 8b/10b, 7 for
 // PRBS7), or the paper's conservative "all runs = CID" worst case.
 //
-// Thread safety: the model is a pure function of its ModelConfig — the
-// class holds no mutable or global state, every method is const, and the
-// stats::GridPdf / FFT machinery underneath is value-semantic. Distinct
-// configs (and even shared const models) may therefore be evaluated
-// concurrently from an exec::ThreadPool; the sweep helpers below take an
-// optional pool and are bit-identical for any thread count because each
-// grid point computes independently into its own slot.
+// What a model holds: its constructor builds the relative-edge PDF of
+// every run length 1..max_cid, and every query is a tail integral over
+// those PDFs. The PDFs depend on the DJ, RJ and CKJ terms,
+// sampling_advance_ui, max_cid, cid_ref, grid_dx and pdf_prune_floor.
+// SJ amplitude and frequency, freq_offset, trigger_mismatch_uirms and
+// run_model enter only the integration, so ber_at() answers any point
+// that differs from the model's config in those fields alone from the
+// same PDFs. A search (a BER surface, a JTOL or FTOL bisection) builds
+// one model and evaluates every step through it.
+//
+// Thread safety: a model is immutable once constructed. Every method is
+// const and reads only the model's own config and PDFs, so one model may
+// be shared read-only by all lanes of an exec::ThreadPool (jtol_curve and
+// the scenario BER surface do). Nothing but immutable constants outlives
+// a model: the SJ-phase sine table, built once per process, and util/fft's
+// per-thread twiddle tables. The sweep helpers below take an optional
+// pool and are bit-identical for any thread count because each grid point
+// computes independently into its own slot.
 
+#include <cstddef>
+#include <string>
 #include <vector>
 
 #include "exec/thread_pool.hpp"
@@ -85,15 +98,33 @@ struct ModelConfig {
     /// 1e-18 floor can discard is < 1e-18 * grid_dx * bins ~ 1e-18.
     double pdf_prune_floor = 0.0;
     RunModel run_model = RunModel::kWeighted;
+
+    bool operator==(const ModelConfig&) const = default;
 };
 
-/// Statistical model instance; precomputes per-run-length error PDFs.
+/// Largest relative-edge PDF a model may build, in grid bins. At the
+/// finest committed grid, the 5e-4 UI default, the Table 1 budget needs
+/// 1925 bins and the statmodel_sweep budgets (each term up to +15%) about
+/// 2.2k; the cap leaves ~15x headroom and bounds one model's PDFs to under
+/// 10 MB at max_cid 16.
+inline constexpr std::size_t kMaxEdgePdfBins = 32768;
+
+/// Check a resolved config from outside input before it reaches
+/// stats::GridPdf: grid_dx > 0, the DJ, RJ, SJ and CKJ terms >= 0,
+/// max_cid and cid_ref >= 1, and the widest relative-edge PDF (run length
+/// max_cid) at most kMaxEdgePdfBins bins. Returns "" for a usable config,
+/// else a one-line reason that starts with the offending field.
+[[nodiscard]] std::string check_model_config(const ModelConfig& cfg);
+
+/// Statistical model instance: holds the relative-edge PDF of every run
+/// length 1..max_cid, built once by the constructor.
 class GatedOscStatModel {
 public:
     explicit GatedOscStatModel(const ModelConfig& cfg);
 
     /// P(sample of the last bit of a run of length L lands past the
-    /// closing transition).
+    /// closing transition). Throws std::out_of_range unless
+    /// 1 <= run_length <= max_cid.
     [[nodiscard]] double late_error_prob(int run_length) const;
 
     /// P(sample of the first bit of a run lands before the triggering
@@ -103,6 +134,16 @@ public:
     /// Bit error ratio under the configured run model.
     [[nodiscard]] double ber() const;
 
+    /// True when `point` differs from config() only in fields the edge
+    /// PDFs do not depend on: SJ amplitude and frequency, freq_offset,
+    /// trigger_mismatch_uirms and run_model. Any other field, including
+    /// one added to ModelConfig later, counts as PDF-shaping.
+    [[nodiscard]] bool shares_pdfs(const ModelConfig& point) const;
+
+    /// BER at `point`, bit-identical to ber_of(point): from this model's
+    /// PDFs when shares_pdfs(point), else from a fresh model.
+    [[nodiscard]] double ber_at(const ModelConfig& point) const;
+
     /// Statistical eye margin for the worst run: distance in UI between the
     /// sample point and the 1e-12 quantile of the closing-edge
     /// distribution. Negative = eye closed at 1e-12.
@@ -111,35 +152,39 @@ public:
     [[nodiscard]] const ModelConfig& config() const { return cfg_; }
 
 private:
-    [[nodiscard]] stats::GridPdf relative_edge_pdf(int run_length) const;
-    [[nodiscard]] double sj_effective_amplitude(int run_length) const;
-    [[nodiscard]] double sample_instant_ui(int k) const;
-    [[nodiscard]] double osc_sigma_ui(int k) const;
+    /// The BER terms at `c`, which must share this model's PDFs.
+    [[nodiscard]] double late_error_prob(const ModelConfig& c,
+                                         int run_length) const;
+    [[nodiscard]] double ber(const ModelConfig& c) const;
 
     ModelConfig cfg_;
+    std::vector<stats::GridPdf> edge_pdfs_;  ///< [L - 1], L = 1..max_cid
 };
 
 /// Convenience: BER for a config (builds a model and evaluates it).
 [[nodiscard]] double ber_of(const ModelConfig& cfg);
 
 /// Jitter tolerance at one normalized SJ frequency: the largest SJ
-/// amplitude (UIpp) keeping BER <= target. Binary search; `amp_cap` bounds
-/// the search (low-frequency tolerance diverges for this topology).
+/// amplitude (UIpp) keeping BER <= target. Binary search on one model;
+/// `amp_cap` bounds the search (low-frequency tolerance diverges for this
+/// topology).
 [[nodiscard]] double jtol_amplitude(ModelConfig base, double sj_freq_norm,
                                     double ber_target = 1e-12,
                                     double amp_cap = 100.0);
 
 /// Full JTOL curve over normalized frequencies, as absolute-frequency mask
 /// points for comparison against masks::JtolMask. Each frequency's binary
-/// search is independent; pass a pool to run them concurrently (the curve
-/// is bit-identical to the serial evaluation).
+/// search is independent and all of them read one model; pass a pool to
+/// run them concurrently (the curve is bit-identical to the serial
+/// evaluation).
 [[nodiscard]] std::vector<masks::MaskPoint> jtol_curve(
     const ModelConfig& base, const std::vector<double>& sj_freq_norms,
     LinkRate rate, double ber_target = 1e-12,
     exec::ThreadPool* pool = nullptr);
 
 /// Frequency tolerance: largest |delta| (both signs checked) keeping
-/// BER <= target with no sinusoidal jitter beyond the base config.
+/// BER <= target with no sinusoidal jitter beyond the base config. Both
+/// bisections read one model.
 [[nodiscard]] double ftol(ModelConfig base, double ber_target = 1e-12);
 
 }  // namespace gcdr::statmodel

@@ -13,6 +13,33 @@ namespace gcdr::stats {
 GridPdf::GridPdf(double x0, double dx, std::vector<double> density)
     : x0_(x0), dx_(dx), density_(std::move(density)) {
     assert(dx_ > 0.0);
+    rebuild_sums();
+}
+
+void GridPdf::rebuild_sums() {
+    cum_.clear();
+    if (density_.empty()) {
+        mass_ = 0.0;
+        return;
+    }
+    cum_.reserve(density_.size() + 1);
+    double acc = 0.0;
+    double s = 0.0;
+    cum_.push_back(acc);
+    for (double v : density_) {
+        acc += v * dx_;
+        cum_.push_back(acc);
+        s += v;
+    }
+    mass_ = s * dx_;
+}
+
+double GridPdf::uniform_bins(double width_pp, double dx) {
+    return std::max(1.0, std::round(width_pp / dx) + 1.0);
+}
+
+double GridPdf::gaussian_bins(double sigma, double dx, double n_sigmas) {
+    return sigma > 0.0 ? 2.0 * std::ceil(n_sigmas * sigma / dx) + 1.0 : 1.0;
 }
 
 GridPdf GridPdf::dirac(double x, double dx) {
@@ -21,8 +48,7 @@ GridPdf GridPdf::dirac(double x, double dx) {
 
 GridPdf GridPdf::uniform(double width_pp, double dx) {
     assert(width_pp >= 0.0);
-    const auto n = std::max<std::size_t>(
-        1, static_cast<std::size_t>(std::round(width_pp / dx)) + 1);
+    const auto n = static_cast<std::size_t>(uniform_bins(width_pp, dx));
     if (n == 1) return dirac(0.0, dx);
     const double half = dx * static_cast<double>(n - 1) / 2.0;
     std::vector<double> d(n, 1.0);
@@ -34,9 +60,9 @@ GridPdf GridPdf::uniform(double width_pp, double dx) {
 GridPdf GridPdf::gaussian(double sigma, double dx, double n_sigmas) {
     assert(sigma >= 0.0);
     if (sigma == 0.0) return dirac(0.0, dx);
-    const auto half_n =
-        static_cast<std::size_t>(std::ceil(n_sigmas * sigma / dx));
-    const std::size_t n = 2 * half_n + 1;
+    const auto n =
+        static_cast<std::size_t>(gaussian_bins(sigma, dx, n_sigmas));
+    const std::size_t half_n = n / 2;
     std::vector<double> d(n);
     const double norm = 1.0 / (sigma * std::sqrt(2.0 * std::numbers::pi));
     for (std::size_t i = 0; i < n; ++i) {
@@ -88,12 +114,6 @@ GridPdf GridPdf::from_samples(const std::vector<double>& xs, double dx) {
     return GridPdf{lo, dx, std::move(d)};
 }
 
-double GridPdf::mass() const {
-    double s = 0.0;
-    for (double v : density_) s += v;
-    return s * dx_;
-}
-
 double GridPdf::mean() const {
     double s = 0.0, m = 0.0;
     for (std::size_t i = 0; i < density_.size(); ++i) {
@@ -117,9 +137,10 @@ double GridPdf::variance() const {
 double GridPdf::stddev() const { return std::sqrt(variance()); }
 
 void GridPdf::normalize() {
-    const double m = mass();
+    const double m = mass_;
     if (m <= 0.0) return;
     for (auto& v : density_) v /= m;
+    rebuild_sums();
 }
 
 void GridPdf::shift(double offset) {
@@ -129,20 +150,26 @@ void GridPdf::shift(double offset) {
 double GridPdf::cdf(double x) const {
     if (empty()) return 0.0;
     // Each bin's mass is spread uniformly over [x_i - dx/2, x_i + dx/2);
-    // integrate exactly, including the partial bin at x.
-    double acc = 0.0;
-    for (std::size_t i = 0; i < density_.size(); ++i) {
-        const double left = x_at(i) - dx_ / 2.0;
-        if (x >= left + dx_) {
-            acc += density_[i] * dx_;
-        } else if (x > left) {
-            acc += density_[i] * (x - left);
-            break;
+    // integrate exactly, including the partial bin at x. Bins [0, k) lie
+    // wholly at or below x. The edge test is the left-to-right scan's own
+    // expression; every operation in it rounds monotonically in i, so it
+    // holds on a prefix and bisection finds the bin where the scan stops.
+    std::size_t k = 0;
+    std::size_t hi = density_.size();
+    while (k < hi) {
+        const std::size_t mid = k + (hi - k) / 2;
+        if (x >= x_at(mid) - dx_ / 2.0 + dx_) {
+            k = mid + 1;
         } else {
-            break;
+            hi = mid;
         }
     }
-    return std::min(acc, mass());
+    double acc = cum_[k];
+    if (k < density_.size()) {
+        const double left = x_at(k) - dx_ / 2.0;
+        if (x > left) acc += density_[k] * (x - left);
+    }
+    return std::min(acc, mass_);
 }
 
 double GridPdf::tail_below(double x) const { return cdf(x); }

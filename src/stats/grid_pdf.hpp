@@ -7,6 +7,12 @@
 // Gaussian (oscillator) — then integrating the tails that fall outside the
 // timing margin to get the BER.
 //
+// Tail integration: each GridPdf keeps the running sum of its bin masses,
+// accumulated left to right exactly as a cdf scan would, plus its total
+// mass. Both are rebuilt only when the densities change (construction,
+// normalize()), so cdf/tail_below cost O(log n) and return the same bits
+// as the O(n) scan.
+//
 // Thread safety: GridPdf is value-semantic with no global or hidden shared
 // state — factories return fresh objects, const queries touch only `this`,
 // and convolution allocates its result. Distinct instances can be built
@@ -40,6 +46,13 @@ public:
     [[nodiscard]] static GridPdf from_samples(const std::vector<double>& xs,
                                               double dx);
 
+    /// Bins uniform(width_pp, dx) and gaussian(sigma, dx, n_sigmas) hold,
+    /// as doubles so outside input can be bounded before anything is
+    /// allocated (a tiny dx overflows any integer count).
+    [[nodiscard]] static double uniform_bins(double width_pp, double dx);
+    [[nodiscard]] static double gaussian_bins(double sigma, double dx,
+                                              double n_sigmas = 9.0);
+
     [[nodiscard]] bool empty() const { return density_.size() == 0; }
     [[nodiscard]] std::size_t size() const { return density_.size(); }
     [[nodiscard]] double x0() const { return x0_; }
@@ -51,7 +64,7 @@ public:
         return density_;
     }
 
-    [[nodiscard]] double mass() const;
+    [[nodiscard]] double mass() const { return mass_; }
     [[nodiscard]] double mean() const;
     [[nodiscard]] double variance() const;
     [[nodiscard]] double stddev() const;
@@ -63,7 +76,8 @@ public:
     /// origin need not stay a multiple of dx (bin width is unchanged).
     void shift(double offset);
 
-    /// P(X <= x): trapezoidal CDF evaluated from the left.
+    /// P(X <= x): trapezoidal CDF evaluated from the left. Binary search
+    /// over the bin edges plus one partial bin, O(log n).
     [[nodiscard]] double cdf(double x) const;
     /// P(X < lo) + P(X > hi): the "error tail" mass outside [lo, hi].
     [[nodiscard]] double tail_outside(double lo, double hi) const;
@@ -87,9 +101,16 @@ public:
                                    double prune_floor = 0.0) const;
 
 private:
+    /// Recompute cum_ and mass_ from density_.
+    void rebuild_sums();
+
     double x0_ = 0.0;
     double dx_ = 1.0;
     std::vector<double> density_;
+    /// cum_[k] = sum over bins i < k of density_[i] * dx_, added left to
+    /// right; size() + 1 entries (empty for an empty PDF).
+    std::vector<double> cum_;
+    double mass_ = 0.0;  ///< sum(density_) * dx_
 };
 
 /// Convolve a set of PDFs (skipping empties); returns dirac(0) if none.

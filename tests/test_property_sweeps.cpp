@@ -1,7 +1,7 @@
 // Parameterized property sweeps across the model space: invariants that
 // must hold at every point of the (SJ frequency, offset, CID, sampling
-// phase) grid, plus transistor-level pulse behaviour of the CML edge
-// detector path.
+// phase) grid — BER monotone in SJ amplitude, RJ and positive offset —
+// plus transistor-level pulse behaviour of the CML edge detector path.
 
 #include <gtest/gtest.h>
 
@@ -60,6 +60,48 @@ TEST_P(StatSweep, WorstCaseUpperBoundsWeightedWithoutSj) {
     const double weighted = statmodel::ber_of(cfg);
     cfg.run_model = statmodel::RunModel::kWorstCase;
     EXPECT_GE(statmodel::ber_of(cfg), weighted * (1.0 - 1e-9));
+}
+
+TEST_P(StatSweep, BerIsMonotoneInRj) {
+    // Wider random jitter can only spread more closing edges past the
+    // sampling instant, at mid-bit and at the T/8-advanced strobe alike.
+    const auto pt = GetParam();
+    for (double advance : {0.0, 0.125}) {
+        statmodel::ModelConfig cfg;
+        cfg.grid_dx = 2e-3;
+        cfg.sj_freq_norm = pt.sj_freq_norm;
+        cfg.freq_offset = pt.freq_offset;
+        cfg.max_cid = pt.max_cid;
+        cfg.sampling_advance_ui = advance;
+        cfg.spec.sj_uipp = 0.3;
+        double prev = -1.0;
+        for (double rj : {0.0, 0.005, 0.01, 0.015, 0.021, 0.03, 0.04}) {
+            cfg.spec.rj_uirms = rj;
+            const double b = statmodel::ber_of(cfg);
+            EXPECT_GE(b, prev * (1.0 - 1e-9))
+                << "advance " << advance << ", rj " << rj;
+            prev = b;
+        }
+    }
+}
+
+TEST_P(StatSweep, BerIsMonotoneInPositiveOffsetAtMidBit) {
+    // A slower oscillator drifts every run's last sample toward the
+    // closing edge. Mid-bit only: with the T/8 advance the BER first
+    // falls as the offset grows, because the early-error term shrinks.
+    const auto pt = GetParam();
+    statmodel::ModelConfig cfg;
+    cfg.grid_dx = 2e-3;
+    cfg.sj_freq_norm = pt.sj_freq_norm;
+    cfg.max_cid = pt.max_cid;
+    cfg.spec.sj_uipp = 0.3;
+    double prev = -1.0;
+    for (double offset : {0.0, 0.005, 0.01, 0.02, 0.03, 0.045, 0.06}) {
+        cfg.freq_offset = offset;
+        const double b = statmodel::ber_of(cfg);
+        EXPECT_GE(b, prev * (1.0 - 1e-9)) << "offset " << offset;
+        prev = b;
+    }
 }
 
 TEST(StatSweepCounterexample, SjResonanceBreaksWorstCase) {

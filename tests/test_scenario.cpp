@@ -183,6 +183,31 @@ const MalformedCase kMalformed[] = {
      R"({"schema":"gcdr.scenario/v1","name":"x","model":{"grid_dx":0.5},
          "tasks":[{"kind":"differential","prefix":"d"}]})",
      "grid_dx"},
+    {"model grid too fine for its PDFs",
+     R"({"schema":"gcdr.scenario/v1","name":"x","model":{"grid_dx":1e-9},
+         "tasks":[{"kind":"differential","prefix":"d"}]})",
+     "grid_dx: too fine for the jitter budget"},
+    {"negative model jitter term",
+     R"({"schema":"gcdr.scenario/v1","name":"x","model":{"rj_uirms":-0.01},
+         "tasks":[{"kind":"differential","prefix":"d"}]})",
+     "rj_uirms: want >= 0"},
+    {"ber_surface axis zeroes grid_dx",
+     R"({"schema":"gcdr.scenario/v1","name":"x",
+         "tasks":[{"kind":"ber_surface","prefix":"s","axes":[
+           {"name":"grid_dx","values":[0.001,0]}]}]})",
+     "grid point 1: grid_dx: want > 0"},
+    {"ber_surface axis shrinks grid_dx past the bin cap",
+     R"({"schema":"gcdr.scenario/v1","name":"x",
+         "tasks":[{"kind":"ber_surface","prefix":"s","axes":[
+           {"name":"sj_uipp","values":[0.1,0.2]},
+           {"name":"grid_dx","values":[1e-9]}]}]})",
+     "grid point 0: grid_dx: too fine for the jitter budget"},
+    {"ber_surface axis makes a jitter term negative",
+     R"({"schema":"gcdr.scenario/v1","name":"x",
+         "tasks":[{"kind":"ber_surface","prefix":"s","axes":[
+           {"name":"dj_uipp","linspace":{"from":0.2,"to":-0.2,
+                                         "points":3}}]}]})",
+     "grid point 2: dj_uipp: want >= 0"},
     {"bad prefix charset",
      R"({"schema":"gcdr.scenario/v1","name":"x",
          "tasks":[{"kind":"differential","prefix":"Bad Prefix"}]})",

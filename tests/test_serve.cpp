@@ -212,6 +212,52 @@ TEST(Protocol, UnknownKeysAreHardErrors) {
     EXPECT_FALSE(parse_job(v, spec, err));  // axes on a non-sweep
 }
 
+TEST(Protocol, ModelsTheGridCannotHoldAreRejected) {
+    // statmodel::check_model_config on the config and on every sweep
+    // point: a tiny grid_dx would size a ~1e9-bin PDF, and axis values
+    // bypass the config section's own checks.
+    const struct {
+        const char* body;
+        const char* expect;  ///< substring of the error
+    } rows[] = {
+        {R"({"type":"ber","config":{"grid_dx":1e-9}})",
+         "config.grid_dx: too fine for the jitter budget"},
+        {R"({"type":"eye","config":{"grid_dx":1e-7}})",
+         "config.grid_dx: too fine for the jitter budget"},
+        {R"({"type":"ber","config":{"dj_uipp":-0.1}})",
+         "config.dj_uipp: want >= 0"},
+        {R"({"type":"ber","config":{"rj_uirms":-0.01}})",
+         "config.rj_uirms: want >= 0"},
+        {R"({"type":"mc","config":{"sj_uipp":-0.2}})",
+         "config.sj_uipp: want >= 0"},
+        {R"({"type":"ber","config":{"ckj_uirms":-0.001}})",
+         "config.ckj_uirms: want >= 0"},
+        {R"({"type":"sweep","axes":[{"name":"grid_dx","values":[0]}]})",
+         "sweep point 0: grid_dx: want > 0"},
+        {R"({"type":"sweep","axes":[{"name":"grid_dx","values":[-0.001]}]})",
+         "sweep point 0: grid_dx: want > 0"},
+        {R"({"type":"sweep","axes":[{"name":"sj_uipp","values":[0.1,0.2]},
+             {"name":"grid_dx","values":[0.01,1e-9]}]})",
+         "sweep point 1: grid_dx: too fine for the jitter budget"},
+        {R"({"type":"sweep","config":{"grid_dx":0.01},
+             "axes":[{"name":"rj_uirms","values":[0.02,-0.02]}]})",
+         "sweep point 1: rj_uirms: want >= 0"},
+    };
+    for (const auto& row : rows) {
+        obs::JsonValue v;
+        ASSERT_TRUE(obs::json_parse(row.body, v)) << row.body;
+        JobSpec spec;
+        std::string err;
+        EXPECT_FALSE(parse_job(v, spec, err)) << row.body;
+        EXPECT_NE(err.find(row.expect), std::string::npos)
+            << row.body << ": got \"" << err << "\"";
+    }
+    // The same axes with valid values still parse.
+    (void)parse_ok(R"({"type":"sweep","config":{"grid_dx":0.01},
+        "axes":[{"name":"grid_dx","values":[0.01,0.02]},
+                {"name":"rj_uirms","values":[0,0.02]}]})");
+}
+
 TEST(Protocol, SweepPointsShareKeyspaceWithStandaloneBer) {
     const JobSpec sweep = parse_ok(
         R"({"type":"sweep","seed":7,

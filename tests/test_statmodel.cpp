@@ -7,7 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "exec/thread_pool.hpp"
 #include "statmodel/gated_osc_model.hpp"
 
 namespace gcdr::statmodel {
@@ -215,6 +221,161 @@ TEST(Ftol, ImprovedSamplingExtendsPositiveOffsetTolerance) {
     cfg.sampling_advance_ui = 1.0 / 8.0;
     const double improved_tol = ftol(cfg);
     EXPECT_GE(improved_tol, base_tol);
+}
+
+// --- PDF reuse: one model per search ------------------------------------
+
+/// A field edit applied to a config, named for failure messages.
+struct ConfigEdit {
+    const char* field;
+    std::function<void(ModelConfig&)> apply;
+};
+
+ModelConfig stressed_config() {
+    // SJ on, so every late-error term takes the 512-phase average and the
+    // BER sits well above zero (0 == 0 would prove nothing).
+    ModelConfig cfg = base_config();
+    cfg.spec.sj_uipp = 0.3;
+    cfg.sj_freq_norm = 0.1;
+    return cfg;
+}
+
+TEST(ModelReuse, BerAtReusesPdfsBitIdenticallyForIntegrationFields) {
+    const ModelConfig base = stressed_config();
+    const GatedOscStatModel model(base);
+    ASSERT_GT(model.ber(), 0.0);
+    EXPECT_EQ(model.ber_at(base), ber_of(base));
+    const ConfigEdit edits[] = {
+        {"sj_uipp", [](ModelConfig& c) { c.spec.sj_uipp = 0.55; }},
+        {"sj_uipp = 0", [](ModelConfig& c) { c.spec.sj_uipp = 0.0; }},
+        {"sj_freq_norm", [](ModelConfig& c) { c.sj_freq_norm = 0.23; }},
+        {"sj_freq_hz", [](ModelConfig& c) { c.spec.sj_freq_hz = 2.5e8; }},
+        {"freq_offset", [](ModelConfig& c) { c.freq_offset = 0.013; }},
+        {"negative freq_offset",
+         [](ModelConfig& c) { c.freq_offset = -0.02; }},
+        {"trigger_mismatch_uirms",
+         [](ModelConfig& c) { c.trigger_mismatch_uirms = 0.2; }},
+        {"run_model",
+         [](ModelConfig& c) { c.run_model = RunModel::kWorstCase; }},
+        {"all at once",
+         [](ModelConfig& c) {
+             c.spec.sj_uipp = 0.7;
+             c.sj_freq_norm = 0.31;
+             c.freq_offset = 0.02;
+             c.trigger_mismatch_uirms = 0.05;
+             c.run_model = RunModel::kWorstCase;
+         }},
+    };
+    for (const ConfigEdit& e : edits) {
+        ModelConfig point = base;
+        e.apply(point);
+        EXPECT_TRUE(model.shares_pdfs(point)) << e.field;
+        EXPECT_EQ(model.ber_at(point), ber_of(point)) << e.field;
+    }
+}
+
+TEST(ModelReuse, BerAtFallsBackForPdfShapingFields) {
+    const ModelConfig base = stressed_config();
+    const GatedOscStatModel model(base);
+    const ConfigEdit edits[] = {
+        {"dj_uipp", [](ModelConfig& c) { c.spec.dj_uipp = 0.3; }},
+        {"rj_uirms", [](ModelConfig& c) { c.spec.rj_uirms = 0.025; }},
+        {"ckj_uirms", [](ModelConfig& c) { c.spec.ckj_uirms = 0.02; }},
+        {"sampling_advance_ui",
+         [](ModelConfig& c) { c.sampling_advance_ui = 0.125; }},
+        {"max_cid", [](ModelConfig& c) { c.max_cid = 7; }},
+        {"cid_ref", [](ModelConfig& c) { c.cid_ref = 3; }},
+        {"grid_dx", [](ModelConfig& c) { c.grid_dx = 1e-3; }},
+        {"pdf_prune_floor",
+         [](ModelConfig& c) { c.pdf_prune_floor = 1e-18; }},
+    };
+    for (const ConfigEdit& e : edits) {
+        ModelConfig point = base;
+        e.apply(point);
+        EXPECT_FALSE(model.shares_pdfs(point)) << e.field;
+        const double ber = ber_of(point);
+        EXPECT_GT(ber, 0.0) << e.field;
+        EXPECT_EQ(model.ber_at(point), ber) << e.field;
+    }
+}
+
+TEST(ModelReuse, LateErrorProbRejectsRunLengthsWithoutAPdf) {
+    const GatedOscStatModel m(base_config());
+    EXPECT_THROW((void)m.late_error_prob(0), std::out_of_range);
+    EXPECT_THROW((void)m.late_error_prob(6), std::out_of_range);
+    EXPECT_NO_THROW((void)m.late_error_prob(5));
+}
+
+TEST(Jtol, PooledCurveMatchesSerialSearchesBitForBit) {
+    // All lanes read one shared model; each lane's bisection must land on
+    // exactly the amplitude a serial, model-per-search run finds.
+    const ModelConfig cfg = base_config();
+    const std::vector<double> freqs = {1e-3, 0.02, 0.1, 0.2, 0.35, 0.5};
+    exec::ThreadPool pool(4);
+    const auto curve = jtol_curve(cfg, freqs, kPaperRate, 1e-12, &pool);
+    ASSERT_EQ(curve.size(), freqs.size());
+    for (std::size_t i = 0; i < freqs.size(); ++i) {
+        EXPECT_EQ(curve[i].amp_uipp, jtol_amplitude(cfg, freqs[i]))
+            << "f/fd = " << freqs[i];
+    }
+}
+
+// --- config checks for outside input -------------------------------------
+
+TEST(ModelConfigCheck, AcceptsCommittedConfigs) {
+    EXPECT_EQ(check_model_config(base_config()), "");
+    // The widest committed budget: statmodel_sweep's +15% terms at the
+    // default grid, with the longest run any parser admits.
+    ModelConfig wide = base_config();
+    wide.spec.dj_uipp = 0.46;
+    wide.spec.rj_uirms = 0.02415;
+    wide.spec.ckj_uirms = 0.0115;
+    wide.spec.sj_uipp = 100.0;  // SJ is phase-averaged, never gridded
+    wide.max_cid = 16;
+    EXPECT_EQ(check_model_config(wide), "");
+}
+
+TEST(ModelConfigCheck, RejectsWhatGridPdfCannotHold) {
+    constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+    const struct {
+        ConfigEdit edit;
+        const char* expect;  ///< prefix of the reason
+    } rows[] = {
+        {{"grid_dx = 0", [](ModelConfig& c) { c.grid_dx = 0.0; }},
+         "grid_dx: want > 0"},
+        {{"negative grid_dx", [](ModelConfig& c) { c.grid_dx = -1e-3; }},
+         "grid_dx: want > 0"},
+        {{"NaN grid_dx", [](ModelConfig& c) { c.grid_dx = kNaN; }},
+         "grid_dx: want > 0"},
+        {{"negative dj", [](ModelConfig& c) { c.spec.dj_uipp = -0.1; }},
+         "dj_uipp: want >= 0"},
+        {{"negative rj", [](ModelConfig& c) { c.spec.rj_uirms = -0.01; }},
+         "rj_uirms: want >= 0"},
+        {{"negative sj", [](ModelConfig& c) { c.spec.sj_uipp = -0.2; }},
+         "sj_uipp: want >= 0"},
+        {{"negative ckj", [](ModelConfig& c) { c.spec.ckj_uirms = -1e-3; }},
+         "ckj_uirms: want >= 0"},
+        {{"NaN rj", [](ModelConfig& c) { c.spec.rj_uirms = kNaN; }},
+         "rj_uirms: want >= 0"},
+        {{"max_cid = 0", [](ModelConfig& c) { c.max_cid = 0; }},
+         "max_cid: want >= 1"},
+        {{"cid_ref = 0", [](ModelConfig& c) { c.cid_ref = 0; }},
+         "cid_ref: want >= 1"},
+        {{"1e-9 grid", [](ModelConfig& c) { c.grid_dx = 1e-9; }},
+         "grid_dx: too fine for the jitter budget"},
+        {{"grid just over the cap",
+          [](ModelConfig& c) { c.grid_dx = 2.5e-5; }},
+         "grid_dx: too fine for the jitter budget"},
+        {{"huge RJ", [](ModelConfig& c) { c.spec.rj_uirms = 5.0; }},
+         "grid_dx: too fine for the jitter budget"},
+    };
+    for (const auto& row : rows) {
+        ModelConfig cfg = base_config();
+        row.edit.apply(cfg);
+        const std::string why = check_model_config(cfg);
+        EXPECT_EQ(why.rfind(row.expect, 0), 0u)
+            << row.edit.field << ": got \"" << why << "\"";
+    }
 }
 
 }  // namespace

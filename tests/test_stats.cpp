@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "stats/grid_pdf.hpp"
 #include "util/mathx.hpp"
@@ -219,6 +223,128 @@ TEST(GridPdf, TripleConvolutionMatchesAnalyticGaussian) {
     const double sigma = std::sqrt(0.01 * 0.01 + 2 * 0.02 * 0.02);
     const double tail = c.tail_below(-5.0 * sigma);
     EXPECT_NEAR(tail / q_function(5.0), 1.0, 0.05);
+}
+
+// --- tail integration: prefix sums vs the left-to-right scan -------------
+
+/// mass() as the scan summed it: densities first, then one scale by dx.
+double scan_mass(const GridPdf& p) {
+    double s = 0.0;
+    for (double v : p.density()) s += v;
+    return s * p.dx();
+}
+
+/// The O(n) left-to-right scan cdf() replaced, kept as the oracle: the
+/// binary-searched prefix sums must return its value bit for bit.
+double scan_cdf(const GridPdf& p, double x) {
+    if (p.empty()) return 0.0;
+    const std::vector<double>& d = p.density();
+    const double dx = p.dx();
+    double acc = 0.0;
+    for (std::size_t i = 0; i < d.size(); ++i) {
+        const double left = p.x_at(i) - dx / 2.0;
+        if (x >= left + dx) {
+            acc += d[i] * dx;
+        } else if (x > left) {
+            acc += d[i] * (x - left);
+            break;
+        } else {
+            break;
+        }
+    }
+    return std::min(acc, scan_mass(p));
+}
+
+/// Every bin edge as the scan computes it, each edge +-1 ulp, every bin
+/// centre, and points beyond both ends of the support.
+void expect_tails_match_scan(const GridPdf& p, const std::string& label) {
+    SCOPED_TRACE(label);
+    ASSERT_FALSE(p.empty());
+    EXPECT_EQ(p.mass(), scan_mass(p));
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    const double dx = p.dx();
+    std::vector<double> xs = {-kInf, kInf, p.x_at(0) - 3.0 * dx,
+                              p.x_at(p.size() - 1) + 3.0 * dx};
+    for (std::size_t i = 0; i < p.size(); ++i) {
+        const double left = p.x_at(i) - dx / 2.0;
+        for (double edge : {left, left + dx}) {
+            xs.push_back(edge);
+            xs.push_back(std::nextafter(edge, -kInf));
+            xs.push_back(std::nextafter(edge, kInf));
+        }
+        xs.push_back(p.x_at(i));
+    }
+    int reported = 0;
+    for (double x : xs) {
+        const double want = scan_cdf(p, x);
+        const double cdf = p.cdf(x);
+        const double below = p.tail_below(x);
+        EXPECT_EQ(cdf, want) << "x = " << ::testing::PrintToString(x);
+        EXPECT_EQ(below, want) << "x = " << ::testing::PrintToString(x);
+        // A wrong edge test repeats along the whole grid; five reports
+        // are enough.
+        if ((cdf != want || below != want) && ++reported == 5) break;
+    }
+}
+
+TEST(GridPdfTails, FactoriesMatchTheScanBitForBit) {
+    expect_tails_match_scan(GridPdf::dirac(0.3, kDx), "dirac");
+    expect_tails_match_scan(GridPdf::uniform(0.4, kDx), "uniform");
+    expect_tails_match_scan(GridPdf::gaussian(0.021, kDx), "gaussian");
+    expect_tails_match_scan(GridPdf::arcsine(0.15, kDx), "arcsine");
+    expect_tails_match_scan(GridPdf::gaussian(0.0312, 5e-4),
+                            "gaussian, model grid");
+}
+
+TEST(GridPdfTails, ConvolutionsMatchTheScanBitForBit) {
+    const auto u = GridPdf::uniform(0.4, kDx);
+    const auto g = GridPdf::gaussian(0.03, kDx);
+    expect_tails_match_scan(u.convolve(g), "direct");
+    expect_tails_match_scan(g.convolve(u, 1e-18), "pruned");
+    // Both operands above 2048 bins: the FFT path, with its negative
+    // clamp.
+    const auto wide_g = GridPdf::gaussian(0.115, kDx);
+    const auto wide_u = GridPdf::uniform(2.1, kDx);
+    ASSERT_GT(wide_g.size(), 2048u);
+    ASSERT_GT(wide_u.size(), 2048u);
+    expect_tails_match_scan(wide_g.convolve(wide_u), "fft");
+}
+
+TEST(GridPdfTails, NormalizeAndShiftKeepTheScanBitForBit) {
+    // normalize() rescales the densities, so the prefix sums must follow.
+    GridPdf ramp(-0.1, kDx, {1.0, 2.0, 3.0, 4.0, 5.0, 4.0, 3.0, 0.5});
+    expect_tails_match_scan(ramp, "unnormalized");
+    ramp.normalize();
+    expect_tails_match_scan(ramp, "normalized");
+    Rng rng(7);
+    std::vector<double> xs;
+    for (int i = 0; i < 2000; ++i) xs.push_back(rng.gaussian(0.2, 0.03));
+    auto hist = GridPdf::from_samples(xs, kDx);
+    hist.normalize();
+    expect_tails_match_scan(hist, "from_samples + normalize");
+    // shift() moves x0 off the dx lattice; the edges move, the sums don't.
+    auto g = GridPdf::gaussian(0.02, kDx);
+    g.shift(0.123456789);
+    expect_tails_match_scan(g, "shifted");
+    auto c = GridPdf::uniform(0.2, kDx).convolve(g);
+    c.shift(-1.0 / 3.0);
+    expect_tails_match_scan(c, "shifted convolution");
+}
+
+TEST(GridPdfTails, BinCountsMatchTheFactories) {
+    for (double w : {0.0, 1e-4, 4e-4, 0.4, 0.4003, 2.1}) {
+        EXPECT_EQ(static_cast<double>(GridPdf::uniform(w, kDx).size()),
+                  GridPdf::uniform_bins(w, kDx))
+            << "width " << w;
+    }
+    for (double sigma : {0.0, 1e-4, 0.021, 0.0312, 0.115}) {
+        EXPECT_EQ(static_cast<double>(GridPdf::gaussian(sigma, kDx).size()),
+                  GridPdf::gaussian_bins(sigma, kDx))
+            << "sigma " << sigma;
+    }
+    // Far past any allocation: still a finite double, never a wrapped
+    // integer.
+    EXPECT_GT(GridPdf::gaussian_bins(0.03, 1e-12), 1e11);
 }
 
 }  // namespace
