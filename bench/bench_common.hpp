@@ -19,11 +19,6 @@
 //                   create an obs::FlightRecorder (dumps in the current
 //                   directory) that benches wire into their receivers /
 //                   margin models via RunReport::flight()
-//   --health        create an obs::health::HealthHub (RunReport::health())
-//                   that benches attach to their receivers / batch
-//                   kernels; per-lane health gauges are published and the
-//                   final gcdr.health/v1 snapshot lands as the report's
-//                   (and ledger record's) top-level "health" block
 //   --log-level L   structured-logger threshold (trace|debug|info|warn|
 //                   error|off); default info
 //   --log-json FILE route structured log records to an append-mode JSONL
@@ -55,7 +50,6 @@
 
 #include "exec/thread_pool.hpp"
 #include "obs/flight_recorder.hpp"
-#include "obs/health/health_monitor.hpp"
 #include "obs/ledger.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
@@ -81,8 +75,6 @@ struct Options {
     std::string trace_path;
     /// Create a FlightRecorder for the run (RunReport::flight()).
     bool flight_recorder = false;
-    /// Create a lane-health hub for the run (RunReport::health()).
-    bool health = false;
     /// Prometheus text-exposition output path; empty = not requested.
     std::string metrics_out_path;
     /// Run-ledger path to append to; empty = not requested.
@@ -123,8 +115,6 @@ struct Options {
                 opts.trace_path = argv[i] + 8;
             } else if (std::strcmp(argv[i], "--flight-recorder") == 0) {
                 opts.flight_recorder = true;
-            } else if (std::strcmp(argv[i], "--health") == 0) {
-                opts.health = true;
             } else if (std::strcmp(argv[i], "--metrics-out") == 0 &&
                        i + 1 < argc) {
                 opts.metrics_out_path = argv[++i];
@@ -207,21 +197,9 @@ public:
         return flight_.get();
     }
 
-    /// The run's lane-health hub: non-null when --health was given.
-    /// Benches hand it to MultiChannelCdr::attach_health or
-    /// ChannelBatch::attach_health; write() publishes its per-lane gauges
-    /// (under "<bench id>") and embeds the final gcdr.health/v1 snapshot
-    /// as the report's / ledger record's "health" block.
-    [[nodiscard]] obs::health::HealthHub* health() {
-        if (!health_hub_ && opts_.health) {
-            health_hub_ = std::make_unique<obs::health::HealthHub>();
-        }
-        return health_hub_.get();
-    }
-
-    /// Record an externally produced gcdr.health/v1 snapshot (scenario
-    /// runs, whose hub lives inside the health_probe task). Overrides the
-    /// hub-derived snapshot in write().
+    /// Record a gcdr.health/v1 snapshot (a scenario's health_probe task
+    /// produces it); write() embeds it as the report's / ledger record's
+    /// "health" block.
     void set_health_json(std::string json) {
         health_json_ = std::move(json);
     }
@@ -289,12 +267,7 @@ public:
         if (!opts_.trace_path.empty()) {
             info.spans = &obs::SpanCollector::global();
         }
-        if (!health_json_.empty()) {
-            info.health_json = health_json_;
-        } else if (health_hub_ && health_hub_->lanes() > 0) {
-            health_hub_->publish(registry_, id_);
-            info.health_json = health_hub_->snapshot_json();
-        }
+        info.health_json = health_json_;
         if (!opts_.json_path.empty()) {
             ok = obs::write_run_report(opts_.json_path, registry_, info) &&
                  ok;
@@ -338,7 +311,6 @@ private:
     obs::MetricsRegistry registry_;
     std::unique_ptr<exec::ThreadPool> pool_;
     std::unique_ptr<obs::FlightRecorder> flight_;
-    std::unique_ptr<obs::health::HealthHub> health_hub_;
     std::string health_json_;
     std::unique_ptr<obs::TraceSpan> run_span_;
     std::chrono::steady_clock::time_point t0_;

@@ -1,96 +1,34 @@
 // Fig 8 — "Timing diagram of GCCO".
-// The measurement half runs through the declarative scenario layer:
-// scenarios/fig8_timing.json describes one pattern-driven lane probed by
-// in-situ health monitors (health_probe task), and this bench builds the
-// SAME document in C++ and executes it with scenario::run_scenario. CI
-// diffs `bench_fig8_timing --json` against `bench_scenario --scenario
-// scenarios/fig8_timing.json --json` with --require-identical-counters,
-// so the two must stay in lockstep: edit the document builder below and
-// the JSON file together.
+// Prints the paper figure as an ASCII waveform (DIN, EDET, DDIN, ring
+// nodes, CKOUT around a resynchronizing edge) and the delay from each
+// EDET release to the next CKOUT rise, which the figure puts at T/2. It
+// runs one 12-bit jitter-free scalar channel on its own scheduler.
 //
-// The ASCII waveform of the paper figure (DIN, EDET, DDIN, ring nodes,
-// CKOUT around a resynchronizing edge) is kept as a visualization-only
-// section: it runs a separate 12-bit scalar channel on its own scheduler
-// and metrics registry, so nothing it does lands in the report.
+// The measured half of the figure is scenarios/fig8_timing.json: one lane
+// under in-situ health monitors, driven by the figure's 1100101111(01)
+// pattern tiled 150x so the monitors complete enough 64-sample windows to
+// lock.
+//   bench_scenario --scenario scenarios/fig8_timing.json --json out.json
 
 #include <cstdio>
 
 #include "bench_common.hpp"
 #include "cdr/channel.hpp"
-#include "scenario/run.hpp"
-#include "scenario/scenario_doc.hpp"
 #include "sim/trace.hpp"
 
 using namespace gcdr;
 
-namespace {
+int main() {
+    bench::header("Fig 8", "timing diagram of the gated oscillator");
 
-// The 1100101111(01) pattern of the original figure: a two-bit run,
-// single-bit runs and a longer run. Tiled 150x so the health monitors
-// complete enough 64-sample windows to lock.
-scenario::ScenarioDoc fig8_document() {
-    scenario::ScenarioDoc doc;
-    doc.name = "fig8_timing";
-    doc.title = "Timing diagram of the gated oscillator";
-    doc.model.spec.dj_uipp = 0.0;
-    doc.model.spec.rj_uirms = 0.0;
-    doc.model.spec.sj_uipp = 0.0;
-    doc.model.spec.ckj_uirms = 0.0;
-
-    scenario::SourceSpec src;
-    src.name = "src0";
-    src.pattern = {1, 1, 0, 0, 1, 0, 1, 1, 1, 1, 0, 1};
-    src.repeat = 150;
-    src.start_ns = 4.0;
-    doc.netlist.sources.push_back(std::move(src));
-
-    scenario::ChannelSpec ch;
-    ch.name = "lane0";
-    ch.f_osc_hz = 2.5e9;
-    ch.ckj_uirms = 0.0;
-    doc.netlist.channels.push_back(std::move(ch));
-
-    scenario::MonitorSpec mon;
-    mon.name = "mon0";
-    doc.netlist.monitors.push_back(std::move(mon));
-
-    scenario::WireSpec w0;
-    w0.from_inst = "src0";
-    w0.from_port = "out";
-    w0.to_inst = "lane0";
-    w0.to_port = "din";
-    doc.netlist.wires.push_back(std::move(w0));
-    scenario::WireSpec w1;
-    w1.from_inst = "lane0";
-    w1.from_port = "dout";
-    w1.to_inst = "mon0";
-    w1.to_port = "in";
-    doc.netlist.wires.push_back(std::move(w1));
-    doc.has_netlist = true;
-
-    scenario::TaskSpec task;
-    task.kind = scenario::TaskSpec::Kind::kHealthProbe;
-    task.prefix = "fig8";
-    task.frames = 8;
-    doc.tasks.push_back(std::move(task));
-    return doc;
-}
-
-void print_waveforms() {
-    // Visualization only: a 12-bit scalar channel on a private scheduler
-    // and registry, replicating the original figure window exactly.
-    obs::MetricsRegistry viz_reg;
     sim::Scheduler sched;
-    sched.attach_metrics(&viz_reg);
     Rng rng(3);
     cdr::ChannelConfig cfg = cdr::ChannelConfig::nominal(2.5e9, 0.0);
     cfg.gcco.jitter_sigma = 0.0;
     cfg.edge_detector.cell_jitter_rel = 0.0;
     cdr::GccoChannel ch(sched, rng, cfg);
-    ch.attach_metrics(viz_reg, "cdr.ch0");
 
     sim::Tracer tracer;
-    tracer.attach_metrics(viz_reg);
     tracer.watch(ch.din());
     tracer.watch(ch.edge_detector().edet());
     tracer.watch(ch.edge_detector().ddin());
@@ -138,30 +76,5 @@ void print_waveforms() {
             }
         }
     }
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-    const auto opts = bench::Options::parse(argc, argv);
-    bench::RunReport report(opts, "fig8_timing",
-                            "timing diagram of the gated oscillator");
-    if (!opts.quiet) {
-        bench::header("Fig 8", "timing diagram of the gated oscillator");
-    }
-
-    const scenario::ScenarioDoc doc = fig8_document();
-    scenario::ScenarioContext ctx;
-    ctx.metrics = &report.metrics();
-    ctx.pool = &report.pool();
-    ctx.seed = report.seed();
-    ctx.verbose = !opts.quiet;
-    ctx.flight = report.flight();
-    const scenario::ScenarioResult result = scenario::run_scenario(doc, ctx);
-    for (const auto& t : result.tasks) {
-        if (!t.health_json.empty()) report.set_health_json(t.health_json);
-    }
-
-    if (!opts.quiet) print_waveforms();
-    return report.write() && result.ok ? 0 : 1;
+    return 0;
 }

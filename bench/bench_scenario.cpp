@@ -1,32 +1,157 @@
-// Generic declarative-scenario runner: load a gcdr.scenario/v1 config
+// Declarative-scenario runner: load a gcdr.scenario/v1 config
 // (--scenario FILE), validate it, compile it onto the existing object
-// graph and execute its tasks with the exact metric structure of the
-// hard-coded benches each task kind mirrors. A golden config replicating
-// bench_fig9_ber_sj or bench_baseline_jtol therefore produces a --json
-// report that diffs bit-identical (scripts/bench_diff.py
-// --require-identical-counters) against the hard-coded bench — CI runs
-// exactly that comparison on scenarios/*.json.
+// graph, execute its tasks and print each task's tables. The committed
+// scenarios are the only specification of the paper's Fig 8
+// (fig8_timing.json), Fig 9 (fig9_ber_sj.json) and the §2.2 comparison
+// against loop CDRs (baseline_jtol.json).
 //
 //   bench_scenario --scenario scenarios/fig9_ber_sj.json --json out.json
 //   bench_scenario --fuzz-seed 42        # scenario::random_valid(42)
 //   bench_scenario --scenario f.json --print-resolved   # canonical form
 //
+// Tables are printed from each task's TaskResult and the document, never
+// from the metrics registry, and the pool banner goes to stderr: stdout
+// is identical for every --threads value.
+//
 // --check exits nonzero when any task gate fails (differential
-// disagreement, JTOL mask violation, unlocked netlist channel).
+// disagreement, unlocked netlist channel).
 // Validation failures print every diagnostic (file:line:col) and exit 2.
 
 #include <cstdio>
 #include <cstring>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "bench_common.hpp"
+#include "masks/jtol_mask.hpp"
 #include "scenario/compile.hpp"
 #include "scenario/fuzz.hpp"
 #include "scenario/run.hpp"
 #include "scenario/scenario_doc.hpp"
 #include "util/hash.hpp"
+#include "util/units.hpp"
 
 using namespace gcdr;
+
+namespace {
+
+const std::vector<double>& series(const scenario::TaskResult& r,
+                                  std::string_view name) {
+    for (const auto& [key, values] : r.series) {
+        if (key == name) return values;
+    }
+    throw std::logic_error("task result has no series " + std::string(name));
+}
+
+std::string format_g(double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%g", v);
+    return buf;
+}
+
+// Rows are axis 0, columns the remaining axes in row-major order
+// (headed by their values when there is exactly one).
+void print_surface(const scenario::TaskSpec& task,
+                   const scenario::TaskResult& r) {
+    const std::vector<double>& ber = series(r, "ber");
+    const scenario::AxisSpec& rows = task.axes[0];
+    const std::size_t cols = ber.size() / rows.values.size();
+    std::string title =
+        task.prefix + ": log10(BER) surface (rows: " + rows.name;
+    for (std::size_t a = 1; a < task.axes.size(); ++a) {
+        title += (a == 1 ? ", cols: " : " x ") + task.axes[a].name;
+    }
+    bench::section(title + ")");
+    // The normalized SJ frequency keeps the JTOL tables' "f/fd" label.
+    std::printf("%10s", rows.name == "sj_freq_norm" ? "f/fd"
+                                                    : rows.name.c_str());
+    if (task.axes.size() == 2) {
+        for (double v : task.axes[1].values) std::printf(" %6.2f", v);
+    }
+    std::printf("\n");
+    for (std::size_t i = 0; i < rows.values.size(); ++i) {
+        std::printf("%10.2e", rows.values[i]);
+        for (std::size_t c = 0; c < cols; ++c) {
+            std::printf(" %s", bench::log_ber(ber[i * cols + c]).c_str());
+        }
+        std::printf("\n");
+    }
+}
+
+void print_jtol_contour(const scenario::TaskSpec& task,
+                        const scenario::TaskResult& r) {
+    const std::vector<double>& tol = series(r, "jtol_uipp");
+    const bool masked = task.jtol.mask != "none";
+    const auto mask = masks::JtolMask::infiniband_2g5();
+    bench::section(task.prefix + ": JTOL contour at BER = " +
+                   format_g(task.jtol.ber_target) +
+                   (masked ? " vs InfiniBand mask" : ""));
+    std::printf("%10s %14s %12s", "f/fd", "freq [Hz]", "JTOL [UIpp]");
+    if (masked) std::printf(" %12s %6s", "mask [UIpp]", "OK?");
+    std::printf("\n");
+    for (std::size_t i = 0; i < tol.size(); ++i) {
+        const double f_hz = task.jtol.freqs[i] * kPaperRate.bits_per_second();
+        std::printf("%10.2e %14.4g %12.3f", task.jtol.freqs[i], f_hz, tol[i]);
+        if (masked) {
+            const double need = mask.amplitude_at(f_hz);
+            std::printf(" %12.3f %6s", need, tol[i] >= need ? "yes" : "NO");
+        }
+        std::printf("\n");
+    }
+}
+
+void print_architecture_jtol(const scenario::TaskSpec& task,
+                             const scenario::TaskResult& r) {
+    const std::vector<double>& go = series(r, "jtol_gated_osc_uipp");
+    const std::vector<double>& bb = series(r, "jtol_bang_bang_uipp");
+    const std::vector<double>& pi = series(r, "jtol_phase_int_uipp");
+    const auto mask = masks::JtolMask::infiniband_2g5();
+    bench::section(task.prefix + ": jitter tolerance [UIpp] at BER " +
+                   format_g(task.ber_target) + " (cap " +
+                   format_g(task.amp_cap) + " UIpp)");
+    std::printf("%10s %12s %12s %12s %12s\n", "f/fd", "gated-osc",
+                "bang-bang", "phase-int", "IB mask");
+    for (std::size_t i = 0; i < go.size(); ++i) {
+        const double fn = task.jtol_freqs[i];
+        std::printf("%10.2e %12.3f %12.3f %12.3f %12.3f\n", fn, go[i], bb[i],
+                    pi[i],
+                    mask.amplitude_at(fn * kPaperRate.bits_per_second()));
+    }
+}
+
+void print_offsets(const scenario::TaskSpec& task,
+                   const scenario::TaskResult& r) {
+    const std::vector<double>& gated = series(r, "offset_gated_osc_ber");
+    const std::vector<double>& bb = series(r, "offset_bang_bang_errors");
+    const std::vector<double>& pi = series(r, "offset_phase_int_errors");
+    bench::section(task.prefix +
+                   ": frequency-offset sensitivity (no SJ), errors per " +
+                   std::to_string(task.offset_bits) + " bits");
+    std::printf("%10s %12s %12s %12s\n", "offset", "gated-osc*",
+                "bang-bang", "phase-int");
+    for (std::size_t i = 0; i < gated.size(); ++i) {
+        std::printf("%9.2f%% %12s %12.0f %12.0f\n", task.offsets[i] * 100,
+                    bench::log_ber(gated[i]).c_str(), bb[i], pi[i]);
+    }
+    std::printf("* statistical-model log10(BER), not an error count.\n");
+}
+
+// Netlist, health-probe and differential tasks print their own per-lane
+// and per-check lines while they run (ScenarioContext::verbose).
+void print_tables(const scenario::TaskSpec& task,
+                  const scenario::TaskResult& r) {
+    if (task.kind == scenario::TaskSpec::Kind::kBerSurface) {
+        print_surface(task, r);
+        if (task.has_jtol) print_jtol_contour(task, r);
+    } else if (task.kind == scenario::TaskSpec::Kind::kBaselineJtol) {
+        print_architecture_jtol(task, r);
+        if (!task.offsets.empty()) print_offsets(task, r);
+    }
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
     auto opts = bench::Options::parse(argc, argv);
@@ -88,9 +213,11 @@ int main(int argc, char** argv) {
     if (!opts.quiet) {
         bench::header("Scenario",
                       doc.name + " (config " + hash_hex + ")");
-        std::printf("[%zu task(s), pool: %zu lane(s), seed %llu]\n",
-                    doc.tasks.size(), pool.size(),
-                    static_cast<unsigned long long>(report.seed()));
+        // stderr: the lane count is the one line that differs between
+        // --threads settings, and stdout must not.
+        std::fprintf(stderr, "[%zu task(s), pool: %zu lane(s), seed %llu]\n",
+                     doc.tasks.size(), pool.size(),
+                     static_cast<unsigned long long>(report.seed()));
     }
 
     scenario::ScenarioContext ctx;
@@ -107,11 +234,13 @@ int main(int argc, char** argv) {
         if (!t.health_json.empty()) report.set_health_json(t.health_json);
     }
 
-    // No scenario.* summary gauges: a golden-config run must carry
-    // exactly the hard-coded bench's metric keys (bench_diff gates on
-    // gauge presence). The outcome lives in --check's exit code and the
-    // report's "run" provenance.
+    // No scenario.* summary gauges: the report carries the tasks' own
+    // metrics only (bench_diff gates on gauge presence). The outcome
+    // lives in --check's exit code and the report's "run" provenance.
     if (!opts.quiet) {
+        for (std::size_t i = 0; i < doc.tasks.size(); ++i) {
+            print_tables(doc.tasks[i], result.tasks[i]);
+        }
         bench::section("result");
         for (const auto& t : result.tasks) {
             std::printf("%-12s %-14s %s\n", t.prefix.c_str(),

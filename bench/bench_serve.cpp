@@ -33,8 +33,8 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "obs/canonical.hpp"
 #include "obs/json_parse.hpp"
-#include "serve/canonical.hpp"
 #include "serve/http.hpp"
 #include "serve/server.hpp"
 #include "util/hash.hpp"
@@ -127,7 +127,7 @@ bool digest_envelope(const std::string& envelope, std::uint64_t& hits,
     }
     const gcdr::obs::JsonValue* payload = v.find("payload");
     if (!payload) return false;
-    payload_canonical = gcdr::serve::canonical_json(*payload);
+    payload_canonical = gcdr::obs::canonical_json(*payload);
     return true;
 }
 

@@ -45,14 +45,11 @@ mkdir -p "$reports_dir"
 benches=(
     kernel_perf
     trace_overhead
-    fig8_timing
-    fig9_ber_sj
     fig10_ber_freqoff
     fig13_tau_sweep
     fig17_ber_improved
     xval_ber
     ftol_scan
-    baseline_jtol
     serve
 )
 
@@ -90,7 +87,8 @@ if [[ -x "$bin" ]]; then
 fi
 
 # Declarative scenarios: every committed config under scenarios/ runs
-# through bench_scenario with the same telemetry plumbing. Reports land
+# through bench_scenario with the same telemetry plumbing (Fig 8, Fig 9
+# and the architecture comparison exist only as scenarios). Reports land
 # as BENCH_scenario_<name>.json and the ledger records carry the
 # scenario file + canonical config hash, so perf_history.py trends each
 # scenario under its own "--scenario <name>#<hash>" config key and a

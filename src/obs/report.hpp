@@ -55,8 +55,8 @@ struct ReportInfo {
     /// when diffing a traced run against an untraced baseline. Wall-clock
     /// data: informational in diffs, never identity-compared.
     const SpanCollector* spans = nullptr;
-    /// Optional lane-health snapshot (bench --health / health_probe
-    /// tasks): a complete gcdr.health/v1 document (compact JSON, see
+    /// Optional lane-health snapshot (scenario health_probe tasks): a
+    /// complete gcdr.health/v1 document (compact JSON, see
     /// obs/health) spliced verbatim as a top-level "health" key. Kept OUT
     /// of "metrics" for the same bench_diff reason as spans.
     std::string health_json;

@@ -13,17 +13,24 @@ namespace gcdr::obs {
 
 namespace {
 
-// Per-thread cache of the buffer resolved for one collector. A thread
-// recording into two collectors alternately re-resolves on each switch,
-// which is fine: spans are recorded in bulk against one collector at a
-// time (the global one, in practice).
+// Per-thread cache of the buffer resolved for one collector, keyed by the
+// collector's id rather than its address: a collector built where a
+// destroyed one lived must not find its predecessor's freed buffer. A
+// thread recording into two collectors alternately re-resolves on each
+// switch, which is fine: spans are recorded in bulk against one collector
+// at a time (the global one, in practice).
 struct LocalCache {
-    const void* collector = nullptr;
+    std::uint64_t collector = 0;  // 0: no collector has this id
     void* buffer = nullptr;
 };
 thread_local LocalCache t_cache;
 
+std::atomic<std::uint64_t> g_next_collector_id{1};
+
 }  // namespace
+
+SpanCollector::SpanCollector()
+    : id_(g_next_collector_id.fetch_add(1, std::memory_order_relaxed)) {}
 
 void SpanCollector::enable(std::size_t per_thread_capacity) {
     std::lock_guard<std::mutex> lock(mu_);
@@ -45,12 +52,12 @@ double SpanCollector::now_s() const {
 }
 
 SpanCollector::Buffer& SpanCollector::local_buffer() {
-    if (t_cache.collector == this && t_cache.buffer)
+    if (t_cache.collector == id_ && t_cache.buffer)
         return *static_cast<Buffer*>(t_cache.buffer);
     std::lock_guard<std::mutex> lock(mu_);
     buffers_.push_back(std::make_unique<Buffer>(
         static_cast<std::uint32_t>(buffers_.size()), capacity_));
-    t_cache.collector = this;
+    t_cache.collector = id_;
     t_cache.buffer = buffers_.back().get();
     return *buffers_.back();
 }

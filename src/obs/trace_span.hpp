@@ -53,6 +53,8 @@ public:
         double max_s = 0.0;
     };
 
+    SpanCollector();
+
     /// Start collecting. Each recording thread gets a private buffer with
     /// room for `per_thread_capacity` spans; further spans are dropped
     /// (and counted). No-op when already enabled.
@@ -105,6 +107,9 @@ private:
 
     Buffer& local_buffer();
 
+    /// Process-unique, never reused (unlike the address): keys the
+    /// per-thread buffer cache.
+    const std::uint64_t id_;
     std::atomic<bool> enabled_{false};
     std::chrono::steady_clock::time_point epoch_{};
     std::size_t capacity_ = 32768;

@@ -45,8 +45,8 @@ struct CompiledNetlist {
 /// -enforced identical) channel instances via cdr::ChannelConfig::nominal.
 [[nodiscard]] CompiledNetlist compile_netlist(const NetlistSpec& net);
 
-/// Sweep grid of a ber_surface task, axes in document order — the same
-/// row-major point order as the hard-coded benches.
+/// Sweep grid of a ber_surface task, axes in document order (row-major:
+/// the last axis varies fastest).
 [[nodiscard]] exec::SweepGrid compile_grid(const TaskSpec& task);
 
 /// The model at one grid point of a ber_surface task: `base` with the

@@ -28,13 +28,12 @@ namespace gcdr::scenario {
 namespace {
 
 // --- ber_surface ---------------------------------------------------------
-// Mirrors bench_fig9_ber_sj point for point: one SweepRunner map over the
-// grid (ShardedCounter on <prefix>.ber_evals), histograms recorded
-// serially in row-major order afterwards, then one jtol_curve parallel_for
-// over the contour frequencies. Two pool jobs total — the same exec.jobs /
-// exec.items a hard-coded surface bench produces. The map reads one model
-// built at the grid's first point: every point whose axes leave the edge
-// PDFs alone (SJ, offset, mismatch) reuses its PDFs, bit-identically.
+// Fig 9: one SweepRunner map over the grid (ShardedCounter on
+// <prefix>.ber_evals), histograms recorded serially in row-major order
+// afterwards, then one jtol_curve parallel_for over the contour
+// frequencies. Two pool jobs total. The map reads one model built at the
+// grid's first point: every point whose axes leave the edge PDFs alone
+// (SJ, offset, mismatch) reuses its PDFs, bit-identically.
 
 TaskResult run_ber_surface(const ScenarioDoc& doc, const TaskSpec& task,
                            const ScenarioContext& ctx) {
@@ -68,10 +67,6 @@ TaskResult run_ber_surface(const ScenarioDoc& doc, const TaskSpec& task,
     result.series.emplace_back("ber", surface);
     result.scalars.emplace_back("grid_points",
                                 static_cast<double>(surface.size()));
-    if (ctx.verbose) {
-        std::printf("[%s] %zu-point BER surface computed\n",
-                    task.prefix.c_str(), surface.size());
-    }
 
     if (task.has_jtol) {
         std::vector<masks::MaskPoint> contour;
@@ -92,17 +87,12 @@ TaskResult run_ber_surface(const ScenarioDoc& doc, const TaskSpec& task,
                 all_ok =
                     all_ok && pt.amp_uipp >= mask.amplitude_at(pt.freq_hz);
             }
-            if (ctx.verbose) {
-                std::printf("[%s] jtol %12.4g Hz -> %.3f UIpp\n",
-                            task.prefix.c_str(), pt.freq_hz, pt.amp_uipp);
-            }
         }
         result.series.emplace_back("jtol_uipp", std::move(tol));
         if (masked) {
             // mask_met is the paper's *finding*, not a gate: the
             // reproduced contour intentionally drops below the mask near
-            // the data rate (bench_fig9_ber_sj reports the same gauge and
-            // never fails on it). Gating would fail every faithful run.
+            // the data rate. Gating would fail every faithful run.
             reg.gauge(task.prefix + ".mask_met").set(all_ok ? 1.0 : 0.0);
             result.scalars.emplace_back("mask_met", all_ok ? 1.0 : 0.0);
         }
@@ -111,10 +101,10 @@ TaskResult run_ber_surface(const ScenarioDoc& doc, const TaskSpec& task,
 }
 
 // --- baseline_jtol -------------------------------------------------------
-// Mirrors bench_baseline_jtol: sweep 1 maps the three architectures over
-// the JTOL frequencies; sweep 2 (when the document asks for it) maps the
-// frequency-offset sensitivity; ErrorCounters attach after the sweep and
-// replay the per-point error totals, exactly like the bench.
+// The §2.2 architecture comparison: sweep 1 maps the three architectures
+// over the JTOL frequencies; sweep 2 (when the document asks for it) maps
+// the frequency-offset sensitivity; ErrorCounters attach after the sweep
+// and replay the per-point error totals.
 
 TaskResult run_baseline_jtol(const ScenarioDoc& doc, const TaskSpec& task,
                              const ScenarioContext& ctx) {
@@ -172,10 +162,6 @@ TaskResult run_baseline_jtol(const ScenarioDoc& doc, const TaskSpec& task,
     result.series.emplace_back("jtol_bang_bang_uipp", std::move(bbv));
     result.series.emplace_back("jtol_gated_osc_uipp", std::move(go));
     result.series.emplace_back("jtol_phase_int_uipp", std::move(piv));
-    if (ctx.verbose) {
-        std::printf("[%s] %zu-point architecture JTOL sweep done\n",
-                    task.prefix.c_str(), rows.size());
-    }
 
     if (!task.offsets.empty()) {
         struct OffsetRow {

@@ -6,10 +6,10 @@
 
 #include "mc/importance.hpp"
 #include "mc/margin_model.hpp"
+#include "obs/canonical.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "scenario/run.hpp"
-#include "serve/canonical.hpp"
 #include "statmodel/bathtub.hpp"
 #include "statmodel/gated_osc_model.hpp"
 #include "util/hash.hpp"
@@ -76,7 +76,7 @@ std::string JobExecutor::compute_payload(const JobSpec& spec,
         std::string payload =
             scenario::result_payload_json(spec.scenario, result);
         std::string canon;
-        if (!canonicalize(payload, canon, nullptr)) return payload;
+        if (!obs::canonicalize(payload, canon, nullptr)) return payload;
         return canon;
     }
     obs::JsonWriter w(obs::JsonWriter::kCompact);
@@ -120,7 +120,7 @@ std::string JobExecutor::compute_payload(const JobSpec& spec,
     // still spaces after colons and formats integral doubles its own
     // way). One canonicalize per *computed* point — compute dominates.
     std::string canon;
-    if (!canonicalize(w.str(), canon, nullptr)) return w.str();
+    if (!obs::canonicalize(w.str(), canon, nullptr)) return w.str();
     return canon;
 }
 

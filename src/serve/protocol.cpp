@@ -2,8 +2,8 @@
 
 #include <cmath>
 
+#include "obs/canonical.hpp"
 #include "obs/json.hpp"
-#include "serve/canonical.hpp"
 #include "util/hash.hpp"
 
 namespace gcdr::serve {
@@ -36,7 +36,7 @@ void append_field(std::string& out, bool& first, std::string_view key,
 
 void append_number(std::string& out, bool& first, std::string_view key,
                    double value) {
-    append_field(out, first, key, canonical_number(value, {}));
+    append_field(out, first, key, obs::canonical_number(value, {}));
 }
 
 /// The sweep's config with one point's axis values applied. Names were
@@ -45,7 +45,7 @@ statmodel::ModelConfig point_config(const JobSpec& sweep,
                                     const exec::SweepPoint& p) {
     statmodel::ModelConfig cfg = sweep.cfg;
     for (std::size_t a = 0; a < sweep.axes.size(); ++a) {
-        (void)apply_config_field(cfg, sweep.axes[a].name, p.value[a]);
+        (void)scenario::apply_model_field(cfg, sweep.axes[a].name, p.value[a]);
     }
     return cfg;
 }
@@ -70,34 +70,6 @@ const char* job_type_name(JobType t) {
 
 const char* model_version_of(JobType t) {
     return t == JobType::kScenario ? kScenarioModelVersion : kModelVersion;
-}
-
-bool apply_config_field(statmodel::ModelConfig& cfg, std::string_view name,
-                        double value) {
-    if (name == "sj_freq_norm") {
-        cfg.sj_freq_norm = value;
-    } else if (name == "freq_offset") {
-        cfg.freq_offset = value;
-    } else if (name == "sampling_advance_ui") {
-        cfg.sampling_advance_ui = value;
-    } else if (name == "trigger_mismatch_uirms") {
-        cfg.trigger_mismatch_uirms = value;
-    } else if (name == "grid_dx") {
-        cfg.grid_dx = value;
-    } else if (name == "pdf_prune_floor") {
-        cfg.pdf_prune_floor = value;
-    } else if (name == "dj_uipp") {
-        cfg.spec.dj_uipp = value;
-    } else if (name == "rj_uirms") {
-        cfg.spec.rj_uirms = value;
-    } else if (name == "sj_uipp") {
-        cfg.spec.sj_uipp = value;
-    } else if (name == "ckj_uirms") {
-        cfg.spec.ckj_uirms = value;
-    } else {
-        return false;
-    }
-    return true;
 }
 
 bool parse_job(const obs::JsonValue& v, JobSpec& spec, std::string& error) {
@@ -158,7 +130,7 @@ bool parse_job(const obs::JsonValue& v, JobSpec& spec, std::string& error) {
                         error = "config." + ck + ": want finite number";
                         return false;
                     }
-                    if (!apply_config_field(spec.cfg, ck, d)) {
+                    if (!scenario::apply_model_field(spec.cfg, ck, d)) {
                         error = "config." + ck + ": unknown field";
                         return false;
                     }
@@ -183,7 +155,7 @@ bool parse_job(const obs::JsonValue& v, JobSpec& spec, std::string& error) {
                     return false;
                 }
                 statmodel::ModelConfig probe;
-                if (!apply_config_field(probe, name->text, 0.0)) {
+                if (!scenario::apply_model_field(probe, name->text, 0.0)) {
                     error = "axes[].name: unknown config field \"" +
                             name->text + "\"";
                     return false;
@@ -337,7 +309,7 @@ std::string resolved_spec_json(const JobSpec& spec) {
             axes += "{\"name\":\"" + spec.axes[i].name + "\",\"values\":[";
             for (std::size_t j = 0; j < spec.axes[i].values.size(); ++j) {
                 if (j) axes += ',';
-                axes += canonical_number(spec.axes[i].values[j], {});
+                axes += obs::canonical_number(spec.axes[i].values[j], {});
             }
             axes += "]}";
         }

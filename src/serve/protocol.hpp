@@ -29,7 +29,7 @@
 //
 // Content addressing: the cache key hashes the RESOLVED spec — every
 // field explicitly re-serialized from the parsed struct in sorted key
-// order with canonical number formatting (serve/canonical.hpp) — so
+// order with canonical number formatting (obs/canonical.hpp) — so
 // requests that differ only in key order, float spelling, or omitted
 // defaults address the same cache entry. seed / priority / deadline_s /
 // stream are execution envelope, not workload, and stay out of the hash
@@ -85,11 +85,6 @@ struct JobSpec {
     double deadline_s = 0.0;  ///< 0 = no deadline
     bool stream = false;      ///< sweep: chunked per-point streaming
 };
-
-/// Set one ModelConfig field by protocol name (doubles only — the sweep
-/// axes address the same namespace). Returns false for unknown names.
-[[nodiscard]] bool apply_config_field(statmodel::ModelConfig& cfg,
-                                      std::string_view name, double value);
 
 /// Parse a gcdr.serve.job/v1 object. On failure returns false and fills
 /// `error` with a one-line reason (unknown key, bad type, empty axis, a

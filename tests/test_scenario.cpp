@@ -424,6 +424,50 @@ TEST(ScenarioGoldens, MultilaneNetlistCompiles) {
     EXPECT_DOUBLE_EQ(net.lanes[3].skew_ps, 105.0);
 }
 
+// The figure scenarios are the only source of Fig 8, Fig 9 and the
+// architecture comparison. Their canonical hashes and seed-1 payload
+// digests are pinned, so a changed surface, contour, JTOL table or
+// health snapshot fails here before it reaches a report.
+
+ScenarioDoc load_golden(const char* file) {
+    ScenarioDoc doc;
+    std::vector<Diagnostic> diags;
+    EXPECT_TRUE(scenario_from_file(
+        std::string(GCDR_SCENARIOS_DIR) + "/" + file, doc, diags))
+        << file << ": " << (diags.empty() ? "unreadable" : diags[0].render());
+    return doc;
+}
+
+std::string payload_digest(const ScenarioDoc& doc, std::size_t lanes) {
+    obs::MetricsRegistry reg;
+    exec::ThreadPool pool(lanes);
+    ScenarioContext ctx;
+    ctx.metrics = &reg;
+    ctx.pool = &pool;
+    ctx.seed = 1;
+    return util::hash_hex(
+        util::fnv1a64(result_payload_json(doc, run_scenario(doc, ctx))));
+}
+
+TEST(ScenarioGoldens, Fig8TimingPayloadIsPinned) {
+    const ScenarioDoc doc = load_golden("fig8_timing.json");
+    EXPECT_EQ(util::hash_hex(scenario_hash(doc)), "2ba1c0088c600828");
+    EXPECT_EQ(payload_digest(doc, 4), "74e12904ba29e86c");
+}
+
+TEST(ScenarioGoldens, Fig9BerSjPayloadIsPinnedAtAnyLaneCount) {
+    const ScenarioDoc doc = load_golden("fig9_ber_sj.json");
+    EXPECT_EQ(util::hash_hex(scenario_hash(doc)), "15d469506fbdcad4");
+    EXPECT_EQ(payload_digest(doc, 4), "7e6a438efbd7d315");
+    EXPECT_EQ(payload_digest(doc, 1), "7e6a438efbd7d315");
+}
+
+TEST(ScenarioGoldens, BaselineJtolPayloadIsPinned) {
+    const ScenarioDoc doc = load_golden("baseline_jtol.json");
+    EXPECT_EQ(util::hash_hex(scenario_hash(doc)), "37524aada34c4bea");
+    EXPECT_EQ(payload_digest(doc, 4), "9ef0d0a12457d362");
+}
+
 // --- fuzzer --------------------------------------------------------------
 
 TEST(ScenarioFuzz, SameSeedSameDocument) {

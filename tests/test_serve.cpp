@@ -1,5 +1,5 @@
 // Tests for the serving stack: shared FNV hashing (util/hash.hpp),
-// canonical JSON + config hashing (serve/canonical.hpp, protocol.hpp),
+// canonical JSON (obs/canonical.hpp) + config hashing (protocol.hpp),
 // the content-addressed result cache (serve/cache.hpp), the priority job
 // queue (serve/queue.hpp), cache-aware execution (serve/executor.hpp),
 // and the HTTP daemon end to end (serve/server.hpp).
@@ -14,11 +14,11 @@
 #include <vector>
 
 #include "exec/thread_pool.hpp"
+#include "obs/canonical.hpp"
 #include "obs/json_parse.hpp"
 #include "obs/ledger.hpp"
 #include "obs/log.hpp"
 #include "serve/cache.hpp"
-#include "serve/canonical.hpp"
 #include "serve/executor.hpp"
 #include "serve/http.hpp"
 #include "serve/protocol.hpp"
@@ -95,7 +95,7 @@ TEST(ObsLedgerForwarder, MatchesUtilHash) {
 std::string canon(std::string_view text) {
     std::string out;
     std::string err;
-    EXPECT_TRUE(canonicalize(text, out, &err)) << err;
+    EXPECT_TRUE(obs::canonicalize(text, out, &err)) << err;
     return out;
 }
 
@@ -108,7 +108,7 @@ TEST(Canonical, KeyReorderHashesIdentically) {
     obs::JsonValue a, b;
     ASSERT_TRUE(obs::json_parse(R"({"x":{"q":1,"p":2},"y":[3]})", a));
     ASSERT_TRUE(obs::json_parse(R"({"y":[3],"x":{"p":2,"q":1}})", b));
-    EXPECT_EQ(canonical_hash(a), canonical_hash(b));
+    EXPECT_EQ(obs::canonical_hash(a), obs::canonical_hash(b));
 }
 
 TEST(Canonical, NumberSpellingsCollapse) {
@@ -192,7 +192,7 @@ TEST(Protocol, ResolvedSpecIsAlreadyCanonical) {
         R"({"type":"sweep","axes":[{"name":"sj_uipp","values":[0.1,0.2]}]})");
     const std::string resolved = resolved_spec_json(spec);
     std::string recanon;
-    ASSERT_TRUE(canonicalize(resolved, recanon, nullptr));
+    ASSERT_TRUE(obs::canonicalize(resolved, recanon, nullptr));
     EXPECT_EQ(recanon, resolved);
 }
 
@@ -273,6 +273,24 @@ TEST(Protocol, SweepPointsShareKeyspaceWithStandaloneBer) {
     const JobSpec standalone =
         parse_ok(R"({"type":"ber","config":{"sj_uipp":0.2}})");
     EXPECT_EQ(spec_config_hash(point), spec_config_hash(standalone));
+}
+
+TEST(Protocol, ConfigHashesArePinned) {
+    // Persisted cache segments are keyed by these hashes: a ber job with
+    // every config field set and a 2-axis sweep. Moving them orphans
+    // every stored entry.
+    const JobSpec ber = parse_ok(R"({"type":"ber","config":{
+        "sj_freq_norm":0.01,"freq_offset":0.001,"sampling_advance_ui":0.1,
+        "trigger_mismatch_uirms":0.005,"grid_dx":0.002,
+        "pdf_prune_floor":1e-14,"dj_uipp":0.3,"rj_uirms":0.02,
+        "sj_uipp":0.2,"ckj_uirms":0.01,"max_cid":6,"cid_ref":4,
+        "run_model":"worst_case"}})");
+    EXPECT_EQ(util::hash_hex(spec_config_hash(ber)), "5b87405f3bb15f7c");
+    const JobSpec sweep = parse_ok(R"({"type":"sweep",
+        "config":{"grid_dx":0.002},
+        "axes":[{"name":"sj_freq_norm","values":[0.01,0.1]},
+                {"name":"sj_uipp","values":[0.1,0.2,0.3]}]})");
+    EXPECT_EQ(util::hash_hex(spec_config_hash(sweep)), "c0c72316b0780ca4");
 }
 
 // --- result cache --------------------------------------------------------
@@ -499,7 +517,7 @@ TEST(JobExecutorTest, CacheHitIsBitIdenticalToRecompute) {
         EXPECT_TRUE(obs::json_parse(env, v));
         const obs::JsonValue* p = v.find("payload");
         EXPECT_NE(p, nullptr);
-        return canonical_json(*p);
+        return obs::canonical_json(*p);
     };
     EXPECT_EQ(payload_of(first.envelope), payload_of(second.envelope));
     // And the raw stored payload is untouched by a reload round-trip:
@@ -507,7 +525,7 @@ TEST(JobExecutorTest, CacheHitIsBitIdenticalToRecompute) {
     std::string stored;
     ASSERT_TRUE(cache.lookup(JobExecutor::key_of(spec), stored));
     std::string recanon;
-    ASSERT_TRUE(canonicalize(stored, recanon, nullptr));
+    ASSERT_TRUE(obs::canonicalize(stored, recanon, nullptr));
     EXPECT_EQ(recanon, stored);
 }
 
@@ -608,8 +626,8 @@ TEST_F(ServeHttpTest, RunBerWarmHitIsBitIdentical) {
     EXPECT_EQ(vc.find("status")->string_or(""), "done");
     EXPECT_EQ(vc.find("cache")->find("misses")->uint_or(0), 1u);
     EXPECT_EQ(vw.find("cache")->find("hits")->uint_or(0), 1u);
-    EXPECT_EQ(canonical_json(*vc.find("payload")),
-              canonical_json(*vw.find("payload")));
+    EXPECT_EQ(obs::canonical_json(*vc.find("payload")),
+              obs::canonical_json(*vw.find("payload")));
     EXPECT_GE(vc.find("payload")->find("ber")->number_or(-1), 0.0);
 }
 
@@ -809,9 +827,9 @@ TEST_F(ServeHttpTest, WatchStreamsIncrementalHealthFrames) {
     EXPECT_EQ(lane_states_of(final_frame),
               std::vector<std::string>{"locked"});
     std::string canon_frame;
-    ASSERT_TRUE(canonicalize(watch.chunks[watch.chunks.size() - 2],
-                             canon_frame, nullptr));
-    EXPECT_EQ(canon_frame, canonical_json(*health));
+    ASSERT_TRUE(obs::canonicalize(watch.chunks[watch.chunks.size() - 2],
+                                  canon_frame, nullptr));
+    EXPECT_EQ(canon_frame, obs::canonical_json(*health));
 
     // /v1/health snapshot lists the job with its latest frame.
     ASSERT_TRUE(client_->get("/v1/health", resp));

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -211,6 +212,26 @@ TEST(SpanCollector, FullBufferCountsDrops) {
     c.clear();
     EXPECT_TRUE(c.merged().empty());
     EXPECT_EQ(c.dropped(), 0u);
+}
+
+// Builds a collector in `slot`, records one span and returns the merge.
+std::vector<obs::SpanCollector::Span> record_in(
+    std::optional<obs::SpanCollector>& slot, const char* name) {
+    slot.emplace();
+    slot->enable();
+    slot->record(name, 0.0, 1.0);
+    return slot->merged();
+}
+
+TEST(SpanCollector, CollectorAtAReusedAddressRecordsItsOwnSpans) {
+    // The second collector is built in the storage the first one freed;
+    // the thread's cached buffer of the first must not be reused.
+    std::optional<obs::SpanCollector> slot;
+    EXPECT_EQ(record_in(slot, "first").size(), 1u);
+    slot.reset();
+    const auto spans = record_in(slot, "second");
+    ASSERT_EQ(spans.size(), 1u);
+    EXPECT_STREQ(spans[0].name, "second");
 }
 
 // ------------------------------------------------------------- recorder
