@@ -56,7 +56,7 @@ std::string format_g(double v) {
 void print_surface(const scenario::TaskSpec& task,
                    const scenario::TaskResult& r) {
     const std::vector<double>& ber = series(r, "ber");
-    const scenario::AxisSpec& rows = task.axes[0];
+    const exec::SweepAxis& rows = task.axes[0];
     const std::size_t cols = ber.size() / rows.values.size();
     std::string title =
         task.prefix + ": log10(BER) surface (rows: " + rows.name;

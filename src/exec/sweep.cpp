@@ -16,6 +16,10 @@ std::uint64_t derive_seed(std::uint64_t base_seed, std::uint64_t index) {
     return z ^ (z >> 31);
 }
 
+SweepGrid::SweepGrid(std::vector<SweepAxis> axes) {
+    for (SweepAxis& a : axes) axis(std::move(a.name), std::move(a.values));
+}
+
 SweepGrid& SweepGrid::axis(std::string name, std::vector<double> values) {
     assert(!values.empty() && "sweep axis needs at least one value");
     axes_.push_back(SweepAxis{std::move(name), std::move(values)});

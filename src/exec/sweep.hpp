@@ -61,6 +61,10 @@ struct SweepPoint {
 
 class SweepGrid {
 public:
+    SweepGrid() = default;
+    /// The grid over `axes`, in order (each must be non-empty).
+    explicit SweepGrid(std::vector<SweepAxis> axes);
+
     /// Append an axis (fluent). Empty axes are rejected via assert.
     SweepGrid& axis(std::string name, std::vector<double> values);
 

@@ -18,12 +18,12 @@ CompiledNetlist compile_netlist(const NetlistSpec& net) {
         // The loader guarantees exactly one wire into <c>.din and at most
         // one monitor on <c>.dout.
         for (const WireSpec& w : net.wires) {
-            if (w.to_inst == c.name && w.to_port == "din") {
-                lane.source = w.from_inst;
+            if (w.to == c.name + ".din") {
+                lane.source = endpoint_instance(w.from);
                 lane.skew_ps = w.skew_ps;
             }
-            if (w.from_inst == c.name && w.from_port == "dout") {
-                lane.monitor = w.to_inst;
+            if (w.from == c.name + ".dout") {
+                lane.monitor = endpoint_instance(w.to);
             }
         }
         for (const SourceSpec& s : net.sources) {
@@ -42,20 +42,16 @@ CompiledNetlist compile_netlist(const NetlistSpec& net) {
 }
 
 exec::SweepGrid compile_grid(const TaskSpec& task) {
-    exec::SweepGrid grid;
-    for (const AxisSpec& axis : task.axes) {
-        grid.axis(axis.name, axis.values);
-    }
-    return grid;
+    return exec::SweepGrid(task.axes);
 }
 
 statmodel::ModelConfig compile_point_model(
-    const statmodel::ModelConfig& base, const TaskSpec& task,
-    const exec::SweepPoint& p) {
+    const statmodel::ModelConfig& base,
+    const std::vector<exec::SweepAxis>& axes, const exec::SweepPoint& p) {
     statmodel::ModelConfig cfg = base;
-    for (std::size_t a = 0; a < task.axes.size(); ++a) {
+    for (std::size_t a = 0; a < axes.size(); ++a) {
         // Axis names were validated at load time; apply cannot fail.
-        (void)apply_model_field(cfg, task.axes[a].name, p.value[a]);
+        (void)apply_model_field(cfg, axes[a].name, p.value[a]);
     }
     return cfg;
 }

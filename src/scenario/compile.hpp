@@ -49,11 +49,11 @@ struct CompiledNetlist {
 /// the last axis varies fastest).
 [[nodiscard]] exec::SweepGrid compile_grid(const TaskSpec& task);
 
-/// The model at one grid point of a ber_surface task: `base` with the
-/// point's axis values applied.
+/// The model at one point of a grid over `axes` (a ber_surface task's, a
+/// daemon sweep's): `base` with the point's axis values applied.
 [[nodiscard]] statmodel::ModelConfig compile_point_model(
-    const statmodel::ModelConfig& base, const TaskSpec& task,
-    const exec::SweepPoint& p);
+    const statmodel::ModelConfig& base,
+    const std::vector<exec::SweepAxis>& axes, const exec::SweepPoint& p);
 
 /// MC budget with the run's base seed filled in.
 [[nodiscard]] mc::McBudget compile_budget(const McSpec& mc,

@@ -17,7 +17,6 @@
 #include "mc/margin_model.hpp"
 #include "obs/canonical.hpp"
 #include "obs/health/health_monitor.hpp"
-#include "obs/json.hpp"
 #include "obs/sharded.hpp"
 #include "scenario/compile.hpp"
 #include "statmodel/gated_osc_model.hpp"
@@ -54,12 +53,12 @@ TaskResult run_ber_surface(const ScenarioDoc& doc, const TaskSpec& task,
         obs::ScopedTimer t(&reg, task.prefix + ".surface_seconds");
         const statmodel::GatedOscStatModel model(
             grid.size() > 0
-                ? compile_point_model(base, task, grid.point(0, ctx.seed))
+                ? compile_point_model(base, task.axes, grid.point(0, ctx.seed))
                 : base);
         obs::ShardedCounter eval_shards(*evals, pool.size());
         surface = runner.map<double>([&](const exec::SweepPoint& p) {
             eval_shards.inc(exec::ThreadPool::lane_index());
-            return model.ber_at(compile_point_model(base, task, p));
+            return model.ber_at(compile_point_model(base, task.axes, p));
         });
         eval_shards.flush();
     }
@@ -243,6 +242,44 @@ encoding::PrbsOrder prbs_order(int order) {
     }
 }
 
+/// Drive every compiled lane into `rx`, as both netlist tasks do: the
+/// source's PRBS stream, or its pattern tiled `repeat` times, at its TX
+/// rate offset. One RNG drives every lane's jitter realization (like the
+/// example receiver); lane bit streams stay deterministic because drive
+/// order is the canonical channel order. Returns the end of the run: 4 ns
+/// past the latest lane start plus the longest stream.
+SimTime drive_lanes(cdr::MultiChannelCdr& rx, const CompiledNetlist& cn,
+                    const ScenarioDoc& doc, std::uint64_t seed) {
+    Rng rng(seed);
+    std::uint64_t max_bits = 0;
+    double last_start_ns = 0.0;
+    for (std::size_t i = 0; i < cn.lanes.size(); ++i) {
+        const CompiledLane& lane = cn.lanes[i];
+        std::vector<bool> bits;
+        if (lane.pattern.empty()) {
+            encoding::PrbsGenerator gen(prbs_order(lane.prbs));
+            bits = gen.bits(static_cast<std::size_t>(lane.bits));
+        } else {
+            bits.reserve(lane.pattern.size() *
+                         static_cast<std::size_t>(lane.repeat));
+            for (std::uint64_t r = 0; r < lane.repeat; ++r) {
+                for (int b : lane.pattern) bits.push_back(b != 0);
+            }
+        }
+        jitter::StreamParams sp;
+        sp.spec = doc.model.spec;
+        sp.data_rate_offset = lane.rate_offset;
+        sp.start =
+            SimTime::ns(lane.start_ns) + SimTime::ps(lane.skew_ps);
+        rx.drive(static_cast<int>(i), jitter::jittered_edges(bits, sp, rng));
+        max_bits = std::max<std::uint64_t>(max_bits, bits.size());
+        last_start_ns = std::max(last_start_ns,
+                                 lane.start_ns + lane.skew_ps * 1e-3);
+    }
+    return SimTime::ns(last_start_ns + 4.0) +
+           kPaperRate.ui_to_time(static_cast<double>(max_bits));
+}
+
 TaskResult run_netlist(const ScenarioDoc& doc, const TaskSpec& task,
                        const ScenarioContext& ctx) {
     obs::MetricsRegistry& reg = *ctx.metrics;
@@ -254,29 +291,7 @@ TaskResult run_netlist(const ScenarioDoc& doc, const TaskSpec& task,
     cdr::MultiChannelCdr rx(ctx.seed, cn.config);
     rx.attach_metrics(reg, task.prefix + ".cdr");
 
-    // One RNG drives every lane's jitter realization (like the example
-    // receiver); lane bit streams stay deterministic because drive order
-    // is the canonical channel order.
-    Rng rng(ctx.seed);
-    std::uint64_t max_bits = 0;
-    double last_start_ns = 0.0;
-    for (std::size_t i = 0; i < cn.lanes.size(); ++i) {
-        const CompiledLane& lane = cn.lanes[i];
-        encoding::PrbsGenerator gen(prbs_order(lane.prbs));
-        const auto bits =
-            gen.bits(static_cast<std::size_t>(lane.bits));
-        jitter::StreamParams sp;
-        sp.spec = doc.model.spec;
-        sp.start =
-            SimTime::ns(lane.start_ns) + SimTime::ps(lane.skew_ps);
-        rx.drive(static_cast<int>(i), jitter::jittered_edges(bits, sp, rng));
-        max_bits = std::max(max_bits, lane.bits);
-        last_start_ns = std::max(last_start_ns,
-                                 lane.start_ns + lane.skew_ps * 1e-3);
-    }
-    rx.run_until(SimTime::ns(last_start_ns + 4.0) +
-                     kPaperRate.ui_to_time(static_cast<double>(max_bits)),
-                 ctx.pool);
+    rx.run_until(drive_lanes(rx, cn, doc, ctx.seed), ctx.pool);
 
     const auto lanes = rx.drain_elastic();
     for (std::size_t i = 0; i < lanes.size(); ++i) {
@@ -330,37 +345,8 @@ TaskResult run_health_probe(const ScenarioDoc& doc, const TaskSpec& task,
     rx.attach_health(hub);
     if (ctx.flight) rx.enable_flight_recorder(*ctx.flight);
 
-    Rng rng(ctx.seed);
-    std::uint64_t max_bits = 0;
-    double last_start_ns = 0.0;
-    for (std::size_t i = 0; i < cn.lanes.size(); ++i) {
-        const CompiledLane& lane = cn.lanes[i];
-        std::vector<bool> bits;
-        if (lane.pattern.empty()) {
-            encoding::PrbsGenerator gen(prbs_order(lane.prbs));
-            bits = gen.bits(static_cast<std::size_t>(lane.bits));
-        } else {
-            bits.reserve(lane.pattern.size() *
-                         static_cast<std::size_t>(lane.repeat));
-            for (std::uint64_t r = 0; r < lane.repeat; ++r) {
-                for (int b : lane.pattern) bits.push_back(b != 0);
-            }
-        }
-        jitter::StreamParams sp;
-        sp.spec = doc.model.spec;
-        sp.data_rate_offset = lane.rate_offset;
-        sp.start =
-            SimTime::ns(lane.start_ns) + SimTime::ps(lane.skew_ps);
-        rx.drive(static_cast<int>(i), jitter::jittered_edges(bits, sp, rng));
-        max_bits = std::max<std::uint64_t>(max_bits, bits.size());
-        last_start_ns = std::max(last_start_ns,
-                                 lane.start_ns + lane.skew_ps * 1e-3);
-    }
-
-    const SimTime t_end =
-        SimTime::ns(last_start_ns + 4.0) +
-        kPaperRate.ui_to_time(static_cast<double>(max_bits));
-    const std::int64_t end_fs = t_end.femtoseconds();
+    const std::int64_t end_fs =
+        drive_lanes(rx, cn, doc, ctx.seed).femtoseconds();
     const std::uint64_t frames = task.frames == 0 ? 1 : task.frames;
     for (std::uint64_t k = 1; k <= frames; ++k) {
         const std::int64_t slice_fs =
@@ -418,6 +404,10 @@ TaskResult run_health_probe(const ScenarioDoc& doc, const TaskSpec& task,
 // value inside a tau-inflated CI — the two layers differ by genuine
 // channel physics, so tau absorbs the modeling gap, not sampling noise.
 
+/// Clones per ChannelBatch in the behavioral leg: batched lanes are
+/// bit-identical to the scalar kernel, so this only sets the SoA width.
+constexpr std::size_t kBehavioralBatchLanes = 16;
+
 TaskResult run_differential(const ScenarioDoc& doc, const TaskSpec& task,
                             const ScenarioContext& ctx) {
     obs::MetricsRegistry& reg = *ctx.metrics;
@@ -467,6 +457,7 @@ TaskResult run_differential(const ScenarioDoc& doc, const TaskSpec& task,
     if (task.behavioral_runs > 0 && in_regime &&
         sm >= task.behavioral_min_ber) {
         auto bp = mc::BehavioralMarginModel::params_from(cfg);
+        bp.batch_lanes = kBehavioralBatchLanes;
         mc::BehavioralMarginModel beh(bp);
         mc::DirectSampler::Config dc;
         dc.budget.max_evals = task.behavioral_runs;
@@ -536,84 +527,36 @@ ScenarioResult run_scenario(const ScenarioDoc& doc,
     return result;
 }
 
-namespace {
-
-void append_field(std::string& out, bool& first, std::string_view key,
-                  std::string_view rendered) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    out += key;
-    out += "\":";
-    out += rendered;
-}
-
-}  // namespace
-
 std::string result_payload_json(const ScenarioDoc& doc,
                                 const ScenarioResult& result) {
-    std::string out = "{\"name\":\"" + obs::JsonWriter::escape(doc.name) +
-                      "\",\"ok\":" + (result.ok ? "true" : "false") +
-                      ",\"tasks\":{";
-    // Tasks keyed by prefix; prefixes are unique (loader-enforced), so
-    // sorting them yields a canonical object.
-    std::vector<const TaskResult*> tasks;
-    for (const TaskResult& t : result.tasks) tasks.push_back(&t);
-    std::sort(tasks.begin(), tasks.end(),
-              [](const TaskResult* a, const TaskResult* b) {
-                  return a->prefix < b->prefix;
-              });
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-        const TaskResult& t = *tasks[i];
-        if (i) out += ',';
-        out += '"' + obs::JsonWriter::escape(t.prefix) + "\":{";
-        bool first = true;
+    // Tasks keyed by prefix (unique, loader-enforced); scalars and series
+    // by name. CanonicalObject sorts every level.
+    CanonicalObject tasks;
+    for (const TaskResult& t : result.tasks) {
+        CanonicalObject scalars, series, task;
+        for (const auto& [name, value] : t.scalars) {
+            scalars.add(name, obs::canonical_number(value, {}));
+        }
+        for (const auto& [name, values] : t.series) {
+            series.add(name, values_json(values));
+        }
         if (!t.health_json.empty()) {
             // Already-canonical compact JSON (gcdr.health/v1); spliced
             // verbatim so the payload stays byte-comparable with the
-            // daemon's final watch frame. "health" sorts before the
-            // other keys.
-            append_field(out, first, "health", t.health_json);
+            // daemon's final watch frame.
+            task.add("health", t.health_json);
         }
-        append_field(out, first, "kind",
-                     "\"" + obs::JsonWriter::escape(t.kind) + "\"");
-        append_field(out, first, "ok", t.ok ? "true" : "false");
-        {
-            auto scalars = t.scalars;
-            std::sort(scalars.begin(), scalars.end());
-            std::string s = "{";
-            for (std::size_t k = 0; k < scalars.size(); ++k) {
-                if (k) s += ',';
-                s += '"' + obs::JsonWriter::escape(scalars[k].first) +
-                     "\":" + obs::canonical_number(scalars[k].second, {});
-            }
-            s += '}';
-            append_field(out, first, "scalars", s);
-        }
-        {
-            auto series = t.series;
-            std::sort(series.begin(), series.end(),
-                      [](const auto& a, const auto& b) {
-                          return a.first < b.first;
-                      });
-            std::string s = "{";
-            for (std::size_t k = 0; k < series.size(); ++k) {
-                if (k) s += ',';
-                s += '"' + obs::JsonWriter::escape(series[k].first) +
-                     "\":[";
-                for (std::size_t j = 0; j < series[k].second.size(); ++j) {
-                    if (j) s += ',';
-                    s += obs::canonical_number(series[k].second[j], {});
-                }
-                s += ']';
-            }
-            s += '}';
-            append_field(out, first, "series", s);
-        }
-        out += '}';
+        task.add("kind", json_string(t.kind))
+            .add("ok", t.ok ? "true" : "false")
+            .add("scalars", scalars.str())
+            .add("series", series.str());
+        tasks.add(t.prefix, task.str());
     }
-    out += "}}";
-    return out;
+    return CanonicalObject()
+        .add("name", json_string(doc.name))
+        .add("ok", result.ok ? "true" : "false")
+        .add("tasks", tasks.str())
+        .str();
 }
 
 }  // namespace gcdr::scenario

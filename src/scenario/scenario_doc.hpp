@@ -10,17 +10,19 @@
 //
 //   {"schema": "gcdr.scenario/v1",
 //    "name": "fig9_ber_sj",
-//    "title": "...",                          // optional
-//    "model": {.. statmodel::ModelConfig surface, all optional ..},
-//    "mc": {"max_evals": 200000, "target_rel_err": 0.1},
+//    "title": "...",                                  // optional
+//    "model": {...},                                  // optional
+//    "mc": {...},                                     // optional
 //    "netlist": {"instances": {..}, "wires": [..]},   // optional
 //    "tasks": [{"kind": "ber_surface", ...}, ...]}
 //
-// Sweep values anywhere a list of numbers is needed accept generator
-// forms — [..] literal, {"values": [..]}, {"linspace"|"logspace":
-// {"from": a, "to": b, "points": n}}, {"steps": {"from": a, "to": b,
-// "step": s}} — expanded at load time through util::linspace/logspace,
-// the same doubles a C++ caller of those helpers gets.
+// The keys of each section, with their storage, bounds and emission
+// rule, are declared once in the tables at the top of scenario_doc.cpp
+// (row format: spec_table.hpp). Daemon jobs share the model table (their
+// "config"), the mc table's budget rows, the axis reader and the grid
+// check (serve/protocol.hpp). Sweep values anywhere a list of numbers is
+// needed accept generator forms (spec_table.hpp: read_values), expanded
+// at load time.
 //
 // Validation follows the qsoc netlist idiom: parse, then structural
 // validation that is LOUD — unknown keys anywhere, unconnected or
@@ -30,7 +32,9 @@
 // silently fall back to a default: the daemon caches results under the
 // document's canonical hash, and a half-understood document would poison
 // the cache under a wrong key. The model, and the model at every
-// ber_surface grid point, must pass statmodel::check_model_config.
+// ber_surface grid point, must pass statmodel::check_model_config; a
+// grid of more than kMaxGridPoints points is refused before any point is
+// visited.
 //
 // Canonical form: resolved_json() re-serializes a loaded document with
 // every field explicit (defaults resolved, generators expanded, keys
@@ -40,36 +44,24 @@
 // by the bench ledger and the serving daemon's cache keys.
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "exec/sweep.hpp"
 #include "obs/json_parse.hpp"
+#include "scenario/spec_table.hpp"
 #include "statmodel/gated_osc_model.hpp"
 
 namespace gcdr::scenario {
 
 inline constexpr const char* kScenarioSchema = "gcdr.scenario/v1";
 
-/// One validation (or parse) failure, pointing as precisely as the
-/// source allows: document path always, file and line/column when the
-/// loader had the source text.
-struct Diagnostic {
-    std::string file;     ///< as given to the loader; may be empty
-    std::string path;     ///< document path, e.g. "tasks[1].axes[0].step"
-    std::size_t line = 0; ///< 1-based; 0 = unknown
-    std::size_t column = 0;
-    std::string message;
-
-    /// "file:line:col: at <path>: message" with unknown parts omitted.
-    [[nodiscard]] std::string render() const;
-};
-
-/// A named sweep axis with its values fully expanded.
-struct AxisSpec {
-    std::string name;
-    std::vector<double> values;
-};
+/// Largest sweep grid (product of axis lengths) a ber_surface task or a
+/// daemon sweep may ask for, checked before any point is visited. Far
+/// above the committed grids (fig9: 13 x 7 = 91 points).
+inline constexpr std::size_t kMaxGridPoints = 100'000;
 
 /// JTOL-contour rider of a ber_surface task (fig9's second half).
 struct JtolSpec {
@@ -92,7 +84,7 @@ struct TaskSpec {
 
     // kBerSurface: statistical-model BER over a sweep grid, optionally
     // followed by a JTOL contour (Fig 9: scenarios/fig9_ber_sj.json).
-    std::vector<AxisSpec> axes;
+    std::vector<exec::SweepAxis> axes;
     bool has_jtol = false;
     JtolSpec jtol;
 
@@ -133,12 +125,10 @@ struct McSpec {
 };
 
 // --- netlist -------------------------------------------------------------
-// Instance kinds and their ports:
-//   source  { bits, prbs, start_ns,           out  (output)
-//             pattern, repeat, rate_offset }
-//   channel { f_osc_hz, ckj_uirms,            din  (input)
-//             improved_sampling }             dout (output)
-//   monitor {}                                in   (input)
+// Instance kinds (keys: the source and channel tables) and their ports:
+//   source   out  (output)
+//   channel  din  (input), dout (output)
+//   monitor  in   (input)
 // Wires run output -> input; a source may fan out to several channels,
 // every channel.din and monitor.in must be driven exactly once.
 
@@ -170,10 +160,12 @@ struct MonitorSpec {
 };
 
 struct WireSpec {
-    std::string from_inst, from_port;
-    std::string to_inst, to_port;
+    std::string from, to;  ///< "instance.port" endpoints
     double skew_ps = 0.0;
 };
+
+/// The instance half of an "instance.port" endpoint.
+[[nodiscard]] std::string_view endpoint_instance(std::string_view endpoint);
 
 struct NetlistSpec {
     // All in name order (the canonical instance order; channel i of the
@@ -194,13 +186,40 @@ struct ScenarioDoc {
     std::vector<TaskSpec> tasks;
 };
 
-/// Set one ModelConfig double field by its scenario/protocol name
-/// (sj_freq_norm, freq_offset, sampling_advance_ui,
-/// trigger_mismatch_uirms, grid_dx, pdf_prune_floor, dj_uipp, rj_uirms,
-/// sj_uipp, ckj_uirms). Returns false for unknown names. Sweep axes
+/// Set one real field of the model table by its key (sj_freq_norm,
+/// grid_dx, dj_uipp, ...). Returns false for any other name. Sweep axes
 /// address exactly this namespace.
 [[nodiscard]] bool apply_model_field(statmodel::ModelConfig& cfg,
                                      std::string_view name, double value);
+
+// --- grammar shared with daemon jobs (serve/protocol.cpp) ----------------
+
+/// The model table; a daemon job's "config" is this section.
+[[nodiscard]] std::span<const Field<statmodel::ModelConfig>> model_fields();
+
+/// The budget rows of the mc table (max_evals, target_rel_err): a daemon
+/// job's "mc" section, which keeps the estimator's default confidence.
+[[nodiscard]] std::span<const Field<McSpec>> mc_budget_fields();
+
+/// Read a model section through the model table, then check the result
+/// with statmodel::check_model_config (reported at <path>.<field>).
+void read_model(DiagSink& sink, const obs::JsonValue& v,
+                const std::string& path, statmodel::ModelConfig& cfg);
+
+/// Read a non-empty array of sweep axes: {"name": <real model key>} plus
+/// exactly one values spec ("values", "linspace", "logspace", "steps").
+void read_axes(DiagSink& sink, const obs::JsonValue& v,
+               const std::string& path, std::vector<exec::SweepAxis>& axes);
+
+/// Canonical axes: [{"name":..,"values":[..expanded..]}, ...].
+[[nodiscard]] std::string axes_json(const std::vector<exec::SweepAxis>& axes);
+
+/// Why the sweep grid over `axes` cannot run on `base`: more than
+/// kMaxGridPoints points, or "<noun> <i>: <reason>" for the first point
+/// whose model check_model_config refuses. Empty when every point passes.
+[[nodiscard]] std::string grid_fault(
+    const statmodel::ModelConfig& base,
+    const std::vector<exec::SweepAxis>& axes, std::string_view noun);
 
 /// Build a ScenarioDoc from a parsed JSON value. Collects every
 /// diagnostic it can (not just the first); returns true iff none. Pass

@@ -159,8 +159,7 @@ ExecOutcome JobExecutor::run_single(JobState& job, exec::ThreadPool& pool) {
 ExecOutcome JobExecutor::run_sweep(JobState& job, exec::ThreadPool& pool) {
     const JobSpec& spec = job.spec();
     const CacheKey sweep_key = key_of(spec);
-    exec::SweepGrid grid;
-    for (const auto& axis : spec.axes) grid.axis(axis.name, axis.values);
+    const exec::SweepGrid grid(spec.axes);
     const std::size_t n = grid.size();
 
     // Pre-pass: resolve every point's key and pull cached payloads.

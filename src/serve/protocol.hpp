@@ -4,8 +4,8 @@
 // A job is a JSON object:
 //
 //   {"type":"ber"|"eye"|"sweep"|"mc"|"scenario",
-//    "config":{...statmodel knobs, all optional...},
-//    "axes":[{"name":"sj_uipp","values":[0.1,0.2]}, ...],   // sweep only
+//    "config":{...a scenario "model" section...},
+//    "axes":[...scenario sweep axes...],                     // sweep only
 //    "ber_target":1e-12,                                     // eye only
 //    "mc":{"max_evals":200000,"target_rel_err":0.1},         // mc only
 //    "scenario":{...gcdr.scenario/v1 document...},           // scenario only
@@ -17,15 +17,17 @@
 // whole workload. Its payload is scenario::result_payload_json of the
 // run: deterministic, thread-count invariant, cacheable.
 //
-// "config" accepts exactly the statmodel::ModelConfig surface: sj_freq_norm,
-// freq_offset, sampling_advance_ui, max_cid, cid_ref,
-// trigger_mismatch_uirms, grid_dx, pdf_prune_floor, run_model
-// ("weighted"|"worst_case"), and the jitter budget dj_uipp / rj_uirms /
-// sj_uipp / ckj_uirms. Unknown keys are a hard parse error — a typo that
-// silently fell back to a default would poison the cache under a wrong
-// key. The resolved config, and a sweep's config at every grid point,
-// must pass statmodel::check_model_config, which bounds the PDF grid a
-// worker would allocate.
+// The other kinds speak the scenario grammar (scenario/scenario_doc.hpp):
+// "config" is read, checked and emitted through the model table, "mc"
+// through the mc table's budget rows, and "axes" by the scenario axis
+// reader, generator forms included. The envelope keys and ber_target are
+// the rows of kJobFields in protocol.cpp. Unknown keys are a hard parse
+// error at every level — a typo that silently fell back to a default
+// would poison the cache under a wrong key. The resolved config, and a
+// sweep's config at every grid point, must pass
+// statmodel::check_model_config, which bounds the PDF grid a worker
+// would allocate; a sweep of more than scenario::kMaxGridPoints points
+// is refused before any point is visited.
 //
 // Content addressing: the cache key hashes the RESOLVED spec — every
 // field explicitly re-serialized from the parsed struct in sorted key
@@ -66,17 +68,12 @@ enum class JobType { kBer, kEye, kSweep, kMc, kScenario };
 /// The model-version stamp hashed into a job's cache key.
 [[nodiscard]] const char* model_version_of(JobType t);
 
-struct McParams {
-    std::uint64_t max_evals = 200'000;
-    double target_rel_err = 0.1;
-};
-
 struct JobSpec {
     JobType type = JobType::kBer;
     statmodel::ModelConfig cfg;
     std::vector<exec::SweepAxis> axes;  ///< sweep only
     double ber_target = 1e-12;          ///< eye only
-    McParams mc;                        ///< mc only
+    scenario::McSpec mc;                ///< mc only (budget rows)
     scenario::ScenarioDoc scenario;     ///< scenario only
     bool has_scenario = false;
     // Execution envelope (not part of the config hash).

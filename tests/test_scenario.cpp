@@ -208,6 +208,23 @@ const MalformedCase kMalformed[] = {
            {"name":"dj_uipp","linspace":{"from":0.2,"to":-0.2,
                                          "points":3}}]}]})",
      "grid point 2: dj_uipp: want >= 0"},
+    {"ber_surface grid over the point cap",
+     R"({"schema":"gcdr.scenario/v1","name":"x",
+         "tasks":[{"kind":"ber_surface","prefix":"s","axes":[
+           {"name":"sj_uipp","linspace":{"from":0.1,"to":0.5,"points":10000}},
+           {"name":"sj_freq_norm",
+            "logspace":{"from":0.001,"to":0.5,"points":10000}}]}]})",
+     "grid of 100000000 points exceeds the cap of 100000"},
+    {"axis with two values specs",
+     R"({"schema":"gcdr.scenario/v1","name":"x",
+         "tasks":[{"kind":"ber_surface","prefix":"s","axes":[
+           {"name":"sj_uipp","values":[0.1,0.2],
+            "linspace":{"from":0.1,"to":0.2,"points":2}}]}]})",
+     "an axis takes exactly one of"},
+    {"fractional integer key",
+     R"({"schema":"gcdr.scenario/v1","name":"x","model":{"max_cid":6.5},
+         "tasks":[{"kind":"differential","prefix":"d"}]})",
+     "want an integer"},
     {"bad prefix charset",
      R"({"schema":"gcdr.scenario/v1","name":"x",
          "tasks":[{"kind":"differential","prefix":"Bad Prefix"}]})",
@@ -281,6 +298,29 @@ TEST(ScenarioDoc, CollectsMultipleDiagnosticsInOnePass) {
         doc, diags));
     EXPECT_TRUE(any_diag_contains(diags, "mc.max_evals must be >= 1"));
     EXPECT_TRUE(any_diag_contains(diags, "unknown key \"bogus\""));
+}
+
+TEST(ScenarioDoc, IntegerKeysAcceptAnyIntegralNumber) {
+    // One integer rule for both grammars (see Protocol's twin): any
+    // integral-valued number, so 6.0 and 6e0 mean 6 and hash like it.
+    ScenarioDoc spelled, plain;
+    std::vector<Diagnostic> diags;
+    ASSERT_TRUE(load(
+        R"({"schema":"gcdr.scenario/v1","name":"x",
+            "model":{"max_cid":6.0,"cid_ref":4e0},"mc":{"max_evals":3e5},
+            "tasks":[{"kind":"differential","prefix":"d",
+                      "behavioral_runs":1024.0}]})",
+        spelled, diags))
+        << (diags.empty() ? "" : diags[0].render());
+    ASSERT_TRUE(load(
+        R"({"schema":"gcdr.scenario/v1","name":"x",
+            "model":{"max_cid":6,"cid_ref":4},"mc":{"max_evals":300000},
+            "tasks":[{"kind":"differential","prefix":"d",
+                      "behavioral_runs":1024}]})",
+        plain, diags));
+    EXPECT_EQ(spelled.model.max_cid, 6);
+    EXPECT_EQ(spelled.mc.max_evals, 300000u);
+    EXPECT_EQ(scenario_hash(spelled), scenario_hash(plain));
 }
 
 // --- canonical form ------------------------------------------------------
@@ -466,6 +506,118 @@ TEST(ScenarioGoldens, BaselineJtolPayloadIsPinned) {
     const ScenarioDoc doc = load_golden("baseline_jtol.json");
     EXPECT_EQ(util::hash_hex(scenario_hash(doc)), "37524aada34c4bea");
     EXPECT_EQ(payload_digest(doc, 4), "9ef0d0a12457d362");
+}
+
+// The other committed scenarios: a PRBS-only netlist run, a health probe
+// with an off-rate source, and the differential cross-validation point.
+
+TEST(ScenarioGoldens, MultilaneSmokePayloadIsPinned) {
+    const ScenarioDoc doc = load_golden("multilane_smoke.json");
+    EXPECT_EQ(util::hash_hex(scenario_hash(doc)), "f164c1350a22ac53");
+    EXPECT_EQ(payload_digest(doc, 4), "593c9ed01c187325");
+}
+
+TEST(ScenarioGoldens, HealthSmokePayloadIsPinned) {
+    const ScenarioDoc doc = load_golden("health_smoke.json");
+    EXPECT_EQ(util::hash_hex(scenario_hash(doc)), "c013b394be268b91");
+    EXPECT_EQ(payload_digest(doc, 4), "936c9f2f67e7937a");
+}
+
+TEST(ScenarioGoldens, XvalSj030PayloadIsPinned) {
+    const ScenarioDoc doc = load_golden("xval_sj030.json");
+    EXPECT_EQ(util::hash_hex(scenario_hash(doc)), "710e720f415b097f");
+    EXPECT_EQ(payload_digest(doc, 4), "c47264b70242094a");
+}
+
+// One document that sets every key to a non-default value and takes
+// every emission branch of resolved_json: a pattern source with
+// "repeat", non-zero "rate_offset" on both source forms, generator and
+// literal axes, "jtol" with "mask":"none", "offsets", and
+// "run_model":"worst_case". Its canonical bytes are the scenario hash.
+constexpr const char* kEveryKeyDoc = R"({
+  "schema": "gcdr.scenario/v1", "name": "every_key", "title": "All keys",
+  "model": {"sj_freq_norm": 0.02, "freq_offset": 0.001,
+            "sampling_advance_ui": 0.125, "trigger_mismatch_uirms": 0.004,
+            "grid_dx": 0.002, "pdf_prune_floor": 1e-15, "dj_uipp": 0.3,
+            "rj_uirms": 0.018, "sj_uipp": 0.15, "ckj_uirms": 0.008,
+            "max_cid": 6, "cid_ref": 4, "run_model": "worst_case"},
+  "mc": {"max_evals": 300000, "target_rel_err": 0.2, "confidence": 0.9},
+  "netlist": {
+    "instances": {
+      "pat": {"kind": "source", "pattern": [1, 1, 0, 1, 0, 0],
+              "repeat": 50, "rate_offset": 0.002, "start_ns": 3.5},
+      "prb": {"kind": "source", "bits": 1500, "prbs": 9, "start_ns": 4.5,
+              "rate_offset": -0.001},
+      "c0": {"kind": "channel", "f_osc_hz": 2.4e9, "ckj_uirms": 0.02,
+             "improved_sampling": true},
+      "c1": {"kind": "channel", "f_osc_hz": 2.4e9, "ckj_uirms": 0.02,
+             "improved_sampling": true},
+      "m0": {"kind": "monitor"}},
+    "wires": [{"from": "pat.out", "to": "c0.din", "skew_ps": 12.5},
+              {"from": "prb.out", "to": "c1.din", "skew_ps": -3},
+              {"from": "c0.dout", "to": "m0.in", "skew_ps": 1}]},
+  "tasks": [
+    {"kind": "ber_surface", "prefix": "surf", "axes": [
+       {"name": "sj_uipp", "steps": {"from": 0.1, "to": 0.3, "step": 0.1}},
+       {"name": "sj_freq_norm",
+        "logspace": {"from": 0.001, "to": 0.1, "points": 3}},
+       {"name": "rj_uirms", "linspace": {"from": 0.01, "to": 0.02,
+                                         "points": 2}},
+       {"name": "freq_offset", "values": [0, 0.001]}],
+     "jtol": {"freqs": [0.01, 0.1], "ber_target": 1e-10, "mask": "none"}},
+    {"kind": "baseline_jtol", "prefix": "base",
+     "jtol_freqs": {"logspace": {"from": 0.001, "to": 0.1, "points": 3}},
+     "jtol_bits": 20000, "ber_target": 1e-9, "amp_cap": 16,
+     "offsets": [0, 0.001], "offset_bits": 30000},
+    {"kind": "netlist_run", "prefix": "run"},
+    {"kind": "differential", "prefix": "diff", "behavioral_runs": 2048,
+     "behavioral_min_ber": 1e-4, "behavioral_tau": 3},
+    {"kind": "health_probe", "prefix": "probe", "frames": 4}]
+})";
+
+TEST(ScenarioCanonical, EveryKeyDocumentHashIsPinned) {
+    ScenarioDoc doc;
+    std::vector<Diagnostic> diags;
+    ASSERT_TRUE(load(kEveryKeyDoc, doc, diags))
+        << (diags.empty() ? "" : diags[0].render());
+    EXPECT_EQ(util::hash_hex(util::fnv1a64(resolved_json(doc))),
+              "da2f843158b78948");
+}
+
+// --- runner --------------------------------------------------------------
+
+TEST(ScenarioRun, NetlistRunAndHealthProbeDriveLanesAlike) {
+    // A 600-bit pattern source and an off-rate PRBS source: both netlist
+    // tasks must drive the streams the document describes, so every
+    // lane makes the same number of decisions under either task.
+    ScenarioDoc doc;
+    std::vector<Diagnostic> diags;
+    ASSERT_TRUE(load(
+        R"({"schema":"gcdr.scenario/v1","name":"drive","netlist":{
+            "instances":{
+              "pat":{"kind":"source","pattern":[1,1,0,1,0,0],"repeat":100},
+              "off":{"kind":"source","bits":800,"rate_offset":0.02},
+              "c0":{"kind":"channel"},"c1":{"kind":"channel"}},
+            "wires":[{"from":"pat.out","to":"c0.din"},
+                     {"from":"off.out","to":"c1.din"}]},
+            "tasks":[{"kind":"netlist_run","prefix":"n"},
+                     {"kind":"health_probe","prefix":"h","frames":2}]})",
+        doc, diags))
+        << (diags.empty() ? "" : diags[0].render());
+    obs::MetricsRegistry reg;
+    exec::ThreadPool pool(2);
+    ScenarioContext ctx;
+    ctx.metrics = &reg;
+    ctx.pool = &pool;
+    (void)run_scenario(doc, ctx);
+    for (const char* lane : {"ch0", "ch1"}) {
+        const std::uint64_t run =
+            reg.counter(std::string("n.cdr.") + lane + ".decisions").value();
+        const std::uint64_t probe =
+            reg.counter(std::string("h.cdr.") + lane + ".decisions").value();
+        EXPECT_GT(run, 0u) << lane;
+        EXPECT_EQ(run, probe) << lane;
+    }
 }
 
 // --- fuzzer --------------------------------------------------------------

@@ -210,6 +210,51 @@ TEST(Protocol, UnknownKeysAreHardErrors) {
     ASSERT_TRUE(obs::json_parse(
         R"({"type":"ber","axes":[{"name":"sj_uipp","values":[1]}]})", v));
     EXPECT_FALSE(parse_job(v, spec, err));  // axes on a non-sweep
+    ASSERT_TRUE(obs::json_parse(R"({"type":"sweep","axes":[
+        {"name":"sj_uipp","values":[0.1,0.2],"bogus":1}]})", v));
+    EXPECT_FALSE(parse_job(v, spec, err));  // unknown key inside an axis
+    ASSERT_TRUE(obs::json_parse(R"({"type":"sweep","axes":[
+        {"name":"sj_uipp","values":[0.1,0.2],
+         "linspace":{"from":0.1,"to":0.2,"points":2}}]})", v));
+    EXPECT_FALSE(parse_job(v, spec, err));  // two values specs in an axis
+    ASSERT_TRUE(
+        obs::json_parse(R"({"type":"mc","mc":{"confidence":0.9}})", v));
+    EXPECT_FALSE(parse_job(v, spec, err));  // mc takes the budget keys only
+}
+
+TEST(Protocol, GeneratorAxesHashLikeTheirExpansion) {
+    // Sweep axes are read by the scenario axis reader: generator forms
+    // expand at parse time, so the cache key sees only the values.
+    const JobSpec gen = parse_ok(R"({"type":"sweep","axes":[
+        {"name":"sj_uipp","linspace":{"from":0,"to":1,"points":5}}]})");
+    const JobSpec literal = parse_ok(R"({"type":"sweep","axes":[
+        {"name":"sj_uipp","values":[0,0.25,0.5,0.75,1]}]})");
+    ASSERT_EQ(gen.axes.size(), 1u);
+    EXPECT_EQ(gen.axes[0].values, literal.axes[0].values);
+    EXPECT_EQ(spec_config_hash(gen), spec_config_hash(literal));
+}
+
+TEST(Protocol, IntegerKeysAcceptAnyIntegralNumber) {
+    // One integer rule for both grammars: any integral-valued number, so
+    // 6.0 and 6e0 mean 6 and hash like it.
+    const JobSpec spelled = parse_ok(R"({"type":"mc","seed":2.0,
+        "config":{"max_cid":6.0,"cid_ref":4e0},"mc":{"max_evals":3e5}})");
+    const JobSpec plain = parse_ok(R"({"type":"mc","seed":2,
+        "config":{"max_cid":6,"cid_ref":4},"mc":{"max_evals":300000}})");
+    EXPECT_EQ(spelled.cfg.max_cid, 6);
+    EXPECT_EQ(spelled.mc.max_evals, 300000u);
+    EXPECT_EQ(spec_config_hash(spelled), spec_config_hash(plain));
+    EXPECT_EQ(JobExecutor::key_of(spelled), JobExecutor::key_of(plain));
+    for (const char* body : {R"({"type":"ber","config":{"max_cid":6.5}})",
+                             R"({"type":"mc","mc":{"max_evals":1.5}})",
+                             R"({"type":"ber","seed":-1})",
+                             R"({"type":"ber","seed":1.5})"}) {
+        obs::JsonValue v;
+        ASSERT_TRUE(obs::json_parse(body, v)) << body;
+        JobSpec spec;
+        std::string err;
+        EXPECT_FALSE(parse_job(v, spec, err)) << body;
+    }
 }
 
 TEST(Protocol, ModelsTheGridCannotHoldAreRejected) {
@@ -242,6 +287,11 @@ TEST(Protocol, ModelsTheGridCannotHoldAreRejected) {
         {R"({"type":"sweep","config":{"grid_dx":0.01},
              "axes":[{"name":"rj_uirms","values":[0.02,-0.02]}]})",
          "sweep point 1: rj_uirms: want >= 0"},
+        {R"({"type":"sweep","axes":[
+             {"name":"sj_uipp","linspace":{"from":0.1,"to":0.5,"points":10000}},
+             {"name":"sj_freq_norm",
+              "linspace":{"from":0.01,"to":0.5,"points":10000}}]})",
+         "grid of 100000000 points exceeds the cap of 100000"},
     };
     for (const auto& row : rows) {
         obs::JsonValue v;
@@ -291,6 +341,25 @@ TEST(Protocol, ConfigHashesArePinned) {
         "axes":[{"name":"sj_freq_norm","values":[0.01,0.1]},
                 {"name":"sj_uipp","values":[0.1,0.2,0.3]}]})");
     EXPECT_EQ(util::hash_hex(spec_config_hash(sweep)), "c0c72316b0780ca4");
+}
+
+TEST(Protocol, EyeAndMcConfigHashesArePinned) {
+    // The other two statmodel job kinds, every field set.
+    const JobSpec eye = parse_ok(R"({"type":"eye","ber_target":1e-10,
+        "config":{"sj_freq_norm":0.01,"freq_offset":0.001,
+        "sampling_advance_ui":0.1,"trigger_mismatch_uirms":0.005,
+        "grid_dx":0.002,"pdf_prune_floor":1e-14,"dj_uipp":0.3,
+        "rj_uirms":0.02,"sj_uipp":0.2,"ckj_uirms":0.01,"max_cid":6,
+        "cid_ref":4,"run_model":"worst_case"}})");
+    EXPECT_EQ(util::hash_hex(spec_config_hash(eye)), "3d4c37217646c36b");
+    const JobSpec mc = parse_ok(R"({"type":"mc",
+        "mc":{"max_evals":300000,"target_rel_err":0.2},
+        "config":{"sj_freq_norm":0.01,"freq_offset":0.001,
+        "sampling_advance_ui":0.1,"trigger_mismatch_uirms":0.005,
+        "grid_dx":0.002,"pdf_prune_floor":1e-14,"dj_uipp":0.3,
+        "rj_uirms":0.02,"sj_uipp":0.2,"ckj_uirms":0.01,"max_cid":6,
+        "cid_ref":4,"run_model":"worst_case"}})");
+    EXPECT_EQ(util::hash_hex(spec_config_hash(mc)), "b6c338110f14ff69");
 }
 
 // --- result cache --------------------------------------------------------
