@@ -12,6 +12,15 @@
 
 namespace gcdr::mc {
 
+namespace {
+
+// Runs drawn per stratum before they are evaluated, and runs per pool item
+// within a chunk.
+constexpr std::size_t kChunk = 1024;
+constexpr std::size_t kBlock = 64;
+
+}  // namespace
+
 DirectSampler::DirectSampler(const MarginModel& model, Config cfg,
                              obs::MetricsRegistry* metrics)
     : model_(&model), cfg_(cfg), metrics_(metrics) {
@@ -82,27 +91,24 @@ McEstimate DirectSampler::estimate(exec::ThreadPool& pool) const {
         progress = std::make_unique<obs::ProgressReporter>(
             "mc.direct", cfg_.budget.max_evals);
     }
+    std::vector<RunSample> buf;
+    std::vector<double> margins;
     while (total + runs_per_round_ <= cfg_.budget.max_evals) {
         obs::TraceSpan round_span("mc.direct.round");
-        std::vector<std::uint64_t> round_err(cap, 0);
-        pool.parallel_for(cap, [&](std::size_t l) {
+        for (std::size_t l = 0; l < cap; ++l) {
             Rng rng(exec::derive_seed(cfg_.budget.base_seed,
                                       round * cap + l));
-            // Draw-then-evaluate in chunks: the coordinate stream leaves
-            // rng in the same order as one-at-a-time sampling, while the
-            // evaluation goes through the batched oracle (which a
-            // BehavioralMarginModel with batch_lanes set runs on the SoA
-            // kernel). The chunk size only bounds buffer memory.
-            constexpr std::uint64_t kChunk = 1024;
-            std::vector<RunSample> buf;
-            std::vector<double> margins;
-            std::uint64_t k = 0;
+            // Draw a chunk serially from the stratum's stream (cheap, and
+            // in the same order as one-at-a-time sampling), then evaluate
+            // it across the pool in fixed blocks through the batched
+            // oracle. The chunk bounds buffer memory; neither size moves
+            // the estimate.
             for (std::uint64_t done = 0; done < alloc_[l];) {
-                const std::uint64_t c = std::min(kChunk, alloc_[l] - done);
+                const std::size_t c = static_cast<std::size_t>(
+                    std::min<std::uint64_t>(kChunk, alloc_[l] - done));
                 buf.resize(c);
                 margins.resize(c);
-                for (std::uint64_t i = 0; i < c; ++i) {
-                    RunSample& s = buf[i];
+                for (RunSample& s : buf) {
                     s.run_length = static_cast<int>(l) + 1;
                     s.u_dj = rng.uniform();
                     s.z_edge = rng.gaussian();
@@ -112,16 +118,17 @@ McEstimate DirectSampler::estimate(exec::ThreadPool& pool) const {
                     s.z_early = rng.gaussian();
                     s.noise_seed = rng.generator()();
                 }
-                model_->margin_ui_batch(buf.data(), c, margins.data());
-                for (std::uint64_t i = 0; i < c; ++i) {
-                    if (margins[i] < 0.0) ++k;
+                const std::size_t n_blocks = (c + kBlock - 1) / kBlock;
+                pool.parallel_for(n_blocks, [&](std::size_t b) {
+                    const std::size_t lo = b * kBlock;
+                    model_->margin_ui_batch(&buf[lo], std::min(kBlock, c - lo),
+                                            &margins[lo]);
+                });
+                for (double m : margins) {  // fixed merge order
+                    if (m < 0.0) ++errors[l];
                 }
                 done += c;
             }
-            round_err[l] = k;
-        });
-        for (std::size_t l = 0; l < cap; ++l) {  // fixed merge order
-            errors[l] += round_err[l];
             runs[l] += alloc_[l];
         }
         total += runs_per_round_;

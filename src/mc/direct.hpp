@@ -17,8 +17,15 @@
 // probability rather than statmodel's sum of the two (they differ by a
 // product of two rare probabilities, far below every tolerance here).
 //
+// Execution: a round visits the strata in order. Each stratum draws its
+// runs serially, one bounded chunk at a time, from its own stream; the
+// chunk is evaluated across the whole pool in fixed blocks through
+// MarginModel::margin_ui_batch, so even the half-round L = 1 stratum
+// keeps every lane busy.
+//
 // Determinism: (round, stratum) -> derive_seed(base, r * cap + l), slot
-// writes only, fixed-order merges — bit-identical for any thread count.
+// writes only, fixed-order merges — bit-identical for any thread count
+// and block size.
 
 #include <cstdint>
 #include <vector>

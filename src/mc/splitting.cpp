@@ -18,6 +18,10 @@ namespace {
 // Seed-space stride between levels; particle indices stay far below it.
 constexpr std::uint64_t kLevelStride = 1ull << 32;
 
+// Chains per pool item in a pCN level. Only scheduling depends on it:
+// every chain's draws and accepts are its own.
+constexpr std::size_t kChainBlock = 16;
+
 double std_normal_cdf(double z) {
     return 0.5 * std::erfc(-z / std::sqrt(2.0));
 }
@@ -51,10 +55,6 @@ RunSample SplittingEngine::to_sample(const Particle& p) const {
     s.z_early = p.z[6];
     s.noise_seed = p.noise_seed;
     return s;
-}
-
-double SplittingEngine::eval_h(const Particle& p) const {
-    return -model_->margin_ui(to_sample(p));
 }
 
 void SplittingEngine::eval_h_batch(Particle* particles,
@@ -200,30 +200,49 @@ McEstimate SplittingEngine::estimate(exec::ThreadPool& pool) const {
         std::vector<Particle> next(n);
         std::vector<std::uint32_t> accepts(ns, 0);
         const double rho = std::sqrt(1.0 - beta * beta);
-        pool.parallel_for(ns, [&](std::size_t j) {
-            const std::size_t lo = j * chain_len;
-            const std::size_t hi = std::min(lo + chain_len, n);
-            if (hi <= lo) return;  // ns doesn't divide n: spare survivor
-            Rng rng(exec::derive_seed(
-                cfg_.budget.base_seed,
-                static_cast<std::uint64_t>(level + 1) * kLevelStride + j));
-            Particle cur = particles[order[j]];
-            next[lo] = cur;  // the survivor itself stays in the population
-            std::uint32_t acc = 0;
-            for (std::size_t slot = lo + 1; slot < hi; ++slot) {
-                Particle cand;
-                for (int d = 0; d < 7; ++d) {
-                    cand.z[d] = rho * cur.z[d] + beta * rng.gaussian();
-                }
-                cand.noise_seed = rng.generator()();
-                cand.h = eval_h(cand);
-                if (cand.h >= tau) {
-                    cur = cand;
-                    ++acc;
-                }
-                next[slot] = cur;
+        // Chain j fills slots [j * chain_len, min((j + 1) * chain_len, n)).
+        // Its draws do not depend on what it accepts, so step s of every
+        // chain in a block is one batch, and one pool item runs all of a
+        // block's steps with no barrier between them.
+        const std::size_t n_blocks = (ns + kChainBlock - 1) / kChainBlock;
+        pool.parallel_for(n_blocks, [&](std::size_t b) {
+            const std::size_t j0 = b * kChainBlock;
+            const std::size_t nb = std::min(kChainBlock, ns - j0);
+            std::vector<Rng> rngs(nb);
+            std::vector<Particle> cur(nb);
+            std::vector<Particle> cand(nb);
+            for (std::size_t k = 0; k < nb; ++k) {
+                const std::size_t j = j0 + k;
+                rngs[k] = Rng(exec::derive_seed(
+                    cfg_.budget.base_seed,
+                    static_cast<std::uint64_t>(level + 1) * kLevelStride +
+                        j));
+                cur[k] = particles[order[j]];
+                // The survivor itself stays in the population (a spare
+                // survivor, when ns doesn't divide n, has no slot).
+                if (j * chain_len < n) next[j * chain_len] = cur[k];
             }
-            accepts[j] = acc;
+            for (std::size_t s = 1; s < chain_len; ++s) {
+                // Slots grow with j, so the chains that still have a slot
+                // at step s are a prefix of the block.
+                std::size_t live = 0;
+                while (live < nb && (j0 + live) * chain_len + s < n) ++live;
+                for (std::size_t k = 0; k < live; ++k) {
+                    for (int d = 0; d < 7; ++d) {
+                        cand[k].z[d] =
+                            rho * cur[k].z[d] + beta * rngs[k].gaussian();
+                    }
+                    cand[k].noise_seed = rngs[k].generator()();
+                }
+                eval_h_batch(cand.data(), live);
+                for (std::size_t k = 0; k < live; ++k) {
+                    if (cand[k].h >= tau) {
+                        cur[k] = cand[k];
+                        ++accepts[j0 + k];
+                    }
+                    next[(j0 + k) * chain_len + s] = cur[k];
+                }
+            }
         });
         particles.swap(next);
         total += level_evals;

@@ -9,8 +9,8 @@
 // noise_seed integer that feeds the behavioral channel's internal draws.
 // Because the margin is a *deterministic* function of this latent state,
 // "clone and restart from a checkpointed channel state" reduces to
-// cloning the latent vector and replaying it on a fresh Scheduler — no
-// live event-queue state is ever serialized (see mc/margin_model.hpp).
+// cloning the latent vector and evaluating it again — no live
+// event-queue state is ever serialized (see mc/margin_model.hpp).
 //
 // Importance function h = -margin (error <=> h >= 0). Each level keeps
 // the p0-fraction of particles with the highest h, sets the next
@@ -20,11 +20,18 @@
 // noise_seed coordinate uses an independence proposal, which is likewise
 // reversible under its uniform prior). P(error) = prod_l p_l * f_final.
 //
+// Every evaluation goes through MarginModel::margin_ui_batch. Level 0's
+// i.i.d. particles are evaluated in pool-tiled blocks. In a level's pCN
+// phase a chain's proposals do not depend on what it accepts, so each
+// pool item takes a fixed block of chains and runs every step for them:
+// the block's step-s proposals are one margin_ui_batch call, then each
+// chain accepts or rejects its own.
+//
 // Determinism: level-0 particle i draws from derive_seed(base, i); the
 // chain grown from survivor slot j of level l draws from
 // derive_seed(base, (l+1) * kLevelStride + j); survivor selection sorts
 // by (h desc, index asc); every parallel item writes only its own slots.
-// Bit-identical for any thread count.
+// Bit-identical for any thread count and block size.
 
 #include <cstdint>
 #include <vector>
@@ -70,11 +77,8 @@ private:
     };
 
     [[nodiscard]] RunSample to_sample(const Particle& p) const;
-    [[nodiscard]] double eval_h(const Particle& p) const;
     /// h for a contiguous block of particles via the model's batched
-    /// oracle. Only the i.i.d. level-0 seeding can use it — inside a pCN
-    /// chain each proposal depends on the previous accept, so the chain
-    /// phase stays on the sequential eval_h.
+    /// oracle: level 0's seeds, or one pCN step of a block of chains.
     void eval_h_batch(Particle* particles, std::size_t n) const;
 
     const MarginModel* model_;

@@ -480,13 +480,24 @@ TaskResult run_differential(const ScenarioDoc& doc, const TaskSpec& task,
         // integrates out). One decade still convicts a broken decoder
         // (BER pinned at 0.5 or 0).
         const double bratio = sm > 0.0 ? de.mean / sm : 0.0;
-        beh_ok = (sm >= lo && sm <= hi) || (bratio >= 0.1 && bratio <= 10.0);
+        // A budget below one sampler round runs nothing, and an empty
+        // tally's [0, 1] interval would put any BER inside the band.
+        const bool ran = de.n_samples > 0;
+        beh_ok = ran && ((sm >= lo && sm <= hi) ||
+                         (bratio >= 0.1 && bratio <= 10.0));
         reg.gauge(task.prefix + ".beh_ber").set(de.mean);
         reg.counter(task.prefix + ".beh_runs").inc(de.n_samples);
         reg.gauge(task.prefix + ".beh_agree").set(beh_ok ? 1.0 : 0.0);
         result.scalars.emplace_back("beh_agree", beh_ok ? 1.0 : 0.0);
         result.scalars.emplace_back("beh_ber", de.mean);
-        if (ctx.verbose) {
+        if (ctx.verbose && !ran) {
+            std::printf("[%s] behavioral leg ran no runs: behavioral_runs "
+                        "%llu is below one round of %llu -> FAIL\n",
+                        task.prefix.c_str(),
+                        static_cast<unsigned long long>(task.behavioral_runs),
+                        static_cast<unsigned long long>(
+                            direct.runs_per_round()));
+        } else if (ctx.verbose) {
             std::printf("[%s] behavioral %.3e in tau-band [%.1e, %.1e] "
                         "-> %s\n",
                         task.prefix.c_str(), de.mean, lo, hi,

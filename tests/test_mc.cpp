@@ -235,6 +235,86 @@ TEST(Splitting, BitIdenticalAcrossThreadCounts) {
 }
 
 // ---------------------------------------------------------------------------
+// Behavioral engines on both oracles: the batched SoA kernel must give the
+// scalar event kernel's estimate exactly, at any thread count, and with
+// batch lanes set every evaluation must run on the batch kernel.
+
+BehavioralMarginModel::Params sj030_params(std::size_t batch_lanes) {
+    statmodel::ModelConfig cfg;
+    cfg.spec.sj_uipp = 0.30;
+    cfg.sj_freq_norm = 0.5;
+    auto p = BehavioralMarginModel::params_from(cfg);
+    p.batch_lanes = batch_lanes;
+    return p;
+}
+
+void expect_same_estimate(const McEstimate& a, const McEstimate& b) {
+    EXPECT_EQ(a.mean, b.mean);
+    EXPECT_EQ(a.std_err, b.std_err);
+    EXPECT_EQ(a.ci.lo, b.ci.lo);
+    EXPECT_EQ(a.ci.hi, b.ci.hi);
+    EXPECT_EQ(a.n_samples, b.n_samples);
+}
+
+SplittingEngine::Config small_split_config() {
+    SplittingEngine::Config sc;
+    sc.n_particles = 128;
+    sc.budget.max_evals = 600;
+    return sc;
+}
+
+DirectSampler::Config small_direct_config() {
+    DirectSampler::Config dc;
+    dc.runs_per_round = 640;
+    dc.budget.max_evals = 1280;
+    return dc;
+}
+
+TEST(Splitting, BehavioralBatchedOracleMatchesScalar) {
+    const BehavioralMarginModel scalar(sj030_params(0));
+    const BehavioralMarginModel batched(sj030_params(8));
+    exec::ThreadPool pool(4);
+    const McEstimate a =
+        SplittingEngine(scalar, small_split_config()).estimate(pool);
+    const McEstimate b =
+        SplittingEngine(batched, small_split_config()).estimate(pool);
+    expect_same_estimate(a, b);
+    EXPECT_GT(b.n_samples, 128u);  // pCN levels ran, not only level 0
+    EXPECT_EQ(batched.batch_stats().evals.load(), b.n_samples);
+    EXPECT_EQ(scalar.batch_stats().evals.load(), 0u);
+}
+
+TEST(Splitting, BehavioralBitIdenticalAcrossThreadCounts) {
+    const BehavioralMarginModel beh(sj030_params(8));
+    const SplittingEngine split(beh, small_split_config());
+    exec::ThreadPool serial(1);
+    exec::ThreadPool wide(4);
+    expect_same_estimate(split.estimate(serial), split.estimate(wide));
+}
+
+TEST(DirectSampler, BehavioralBatchedOracleMatchesScalar) {
+    const BehavioralMarginModel scalar(sj030_params(0));
+    const BehavioralMarginModel batched(sj030_params(8));
+    exec::ThreadPool pool(4);
+    const McEstimate a =
+        DirectSampler(scalar, small_direct_config()).estimate(pool);
+    const McEstimate b =
+        DirectSampler(batched, small_direct_config()).estimate(pool);
+    expect_same_estimate(a, b);
+    EXPECT_EQ(b.n_samples, 1280u);
+    EXPECT_EQ(batched.batch_stats().evals.load(), b.n_samples);
+    EXPECT_EQ(scalar.batch_stats().evals.load(), 0u);
+}
+
+TEST(DirectSampler, BehavioralBitIdenticalAcrossThreadCounts) {
+    const BehavioralMarginModel beh(sj030_params(8));
+    const DirectSampler direct(beh, small_direct_config());
+    exec::ThreadPool serial(1);
+    exec::ThreadPool wide(4);
+    expect_same_estimate(direct.estimate(serial), direct.estimate(wide));
+}
+
+// ---------------------------------------------------------------------------
 // Behavioral margin model (event-driven channel as the sampled oracle)
 
 TEST(BehavioralModel, NominalRunsHaveHealthyMargins) {

@@ -620,6 +620,35 @@ TEST(ScenarioRun, NetlistRunAndHealthProbeDriveLanesAlike) {
     }
 }
 
+TEST(ScenarioRun, DifferentialFailsABehavioralLegThatRanNoRuns) {
+    // 10 runs is below one direct-sampling round (2^(max_cid - 1) = 16),
+    // so the behavioral leg counts nothing. Its zero estimate with the
+    // default [0, 1] interval must fail the gate, not agree with any BER.
+    ScenarioDoc doc = load_golden("xval_sj030.json");
+    ASSERT_EQ(doc.tasks.size(), 1u);
+    doc.tasks[0].behavioral_runs = 10;
+    obs::MetricsRegistry reg;
+    exec::ThreadPool pool(2);
+    ScenarioContext ctx;
+    ctx.metrics = &reg;
+    ctx.pool = &pool;
+    ctx.seed = 1;
+    const ScenarioResult result = run_scenario(doc, ctx);
+    ASSERT_EQ(result.tasks.size(), 1u);
+    auto scalar = [&](const std::string& name) {
+        for (const auto& [key, value] : result.tasks[0].scalars) {
+            if (key == name) return value;
+        }
+        ADD_FAILURE() << "no scalar " << name;
+        return -1.0;
+    };
+    EXPECT_EQ(reg.counter("xval.beh_runs").value(), 0u);
+    EXPECT_EQ(scalar("agree"), 1.0);  // the strict leg still passes
+    EXPECT_EQ(scalar("beh_agree"), 0.0);
+    EXPECT_FALSE(result.tasks[0].ok);
+    EXPECT_FALSE(result.ok);
+}
+
 // --- fuzzer --------------------------------------------------------------
 
 TEST(ScenarioFuzz, SameSeedSameDocument) {
