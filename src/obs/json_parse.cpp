@@ -110,16 +110,18 @@ private:
         ++pos_;  // opening quote
         out.clear();
         while (true) {
+            // Copy the run of plain characters up to the next quote,
+            // backslash or control character in one append.
+            const std::size_t run = pos_;
+            while (!at_end() && peek() != '"' && peek() != '\\' &&
+                   static_cast<unsigned char>(peek()) >= 0x20) {
+                ++pos_;
+            }
+            out.append(in_, run, pos_ - run);
             if (at_end()) return fail("unterminated string");
             const char c = in_[pos_++];
             if (c == '"') return true;
-            if (static_cast<unsigned char>(c) < 0x20) {
-                return fail("raw control character in string");
-            }
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
+            if (c != '\\') return fail("raw control character in string");
             if (at_end()) return fail("unterminated escape");
             const char e = in_[pos_++];
             switch (e) {
@@ -185,6 +187,14 @@ private:
         return true;
     }
 
+    bool parse_member(JsonValue::Member& m) {
+        if (!parse_string(m.first)) return false;
+        skip_ws();
+        if (at_end() || peek() != ':') return fail("expected ':'");
+        ++pos_;
+        return parse_value(m.second);
+    }
+
     bool parse_value(JsonValue& out) {
         if (++depth_ > kMaxDepth) return fail("nesting too deep");
         const bool ok = parse_value_inner(out);
@@ -208,13 +218,12 @@ private:
                     if (at_end() || peek() != '"') {
                         return fail("expected object key");
                     }
-                    JsonValue::Member m;
-                    if (!parse_string(m.first)) return false;
-                    skip_ws();
-                    if (at_end() || peek() != ':') return fail("expected ':'");
-                    ++pos_;
-                    if (!parse_value(m.second)) return false;
-                    out.members.push_back(std::move(m));
+                    // Parsed in place; a member that fails is dropped, so
+                    // a failed parse leaves only completed members.
+                    if (!parse_member(out.members.emplace_back())) {
+                        out.members.pop_back();
+                        return false;
+                    }
                     skip_ws();
                     if (at_end()) return fail("unterminated object");
                     if (peek() == ',') { ++pos_; continue; }
@@ -228,9 +237,10 @@ private:
                 skip_ws();
                 if (!at_end() && peek() == ']') { ++pos_; return true; }
                 while (true) {
-                    JsonValue item;
-                    if (!parse_value(item)) return false;
-                    out.items.push_back(std::move(item));
+                    if (!parse_value(out.items.emplace_back())) {
+                        out.items.pop_back();
+                        return false;
+                    }
                     skip_ws();
                     if (at_end()) return fail("unterminated array");
                     if (peek() == ',') { ++pos_; continue; }

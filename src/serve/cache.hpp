@@ -31,10 +31,12 @@
 
 #include <chrono>
 #include <cstdint>
-#include <list>
+#include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -53,8 +55,10 @@ struct CacheKey {
     [[nodiscard]] std::uint64_t mix() const;
 };
 
+/// noexcept, so std::unordered_map recomputes the hash instead of storing
+/// it in every node.
 struct CacheKeyHash {
-    std::size_t operator()(const CacheKey& k) const {
+    std::size_t operator()(const CacheKey& k) const noexcept {
         return static_cast<std::size_t>(k.mix());
     }
 };
@@ -98,7 +102,8 @@ public:
     /// Insert/overwrite and append one segment record. `payload` must be
     /// a complete compact JSON value (it is spliced into the record
     /// verbatim). I/O failure is soft: the in-memory entry still lands,
-    /// a warning is logged once per open failure.
+    /// a warning is logged once per open failure. A payload of 4 GiB or
+    /// more is neither held nor appended.
     void store(const CacheKey& key, const std::string& payload);
 
     /// Rewrite the segment file to exactly the live in-memory set.
@@ -120,29 +125,46 @@ public:
 
     /// One segment line (exposed for tests / offline tooling).
     [[nodiscard]] static std::string record_json(const CacheKey& key,
-                                                 const std::string& payload);
+                                                 std::string_view payload);
 
 private:
+    struct Entry;
+    /// One map node. Nodes never move, so the recency links below stay
+    /// valid until their node is erased.
+    using Slot = std::pair<const CacheKey, Entry>;
     struct Entry {
-        std::string payload;
-        std::list<CacheKey>::iterator lru_it;
+        /// The payload bytes. A pointer and a 32-bit size instead of a
+        /// std::string keep the whole map node at 72 bytes.
+        std::unique_ptr<char[]> payload;
+        std::uint32_t payload_size = 0;
         /// When the payload landed (insert or overwrite) — the age
         /// recorded on hits and behind the oldest-entry gauge.
         std::chrono::steady_clock::time_point stored_at;
+        /// Recency list threaded through the map's own nodes:
+        /// newer = toward lru_head_, older = toward lru_tail_.
+        Slot* newer = nullptr;
+        Slot* older = nullptr;
     };
 
-    void touch_locked(Entry& e, const CacheKey& key);
-    void insert_locked(const CacheKey& key, std::string payload,
+    [[nodiscard]] static std::string_view payload_of(const Entry& e) {
+        return {e.payload.get(), e.payload_size};
+    }
+    void link_front_locked(Slot& s);
+    void unlink_locked(Slot& s);
+    void touch_locked(Slot& s);
+    /// Payloads of 4 GiB or more are not held (false): the 32-bit size
+    /// cannot record them.
+    bool insert_locked(const CacheKey& key, std::string_view payload,
                        bool persist);
-    bool append_record_locked(const CacheKey& key,
-                              const std::string& payload);
+    bool append_record_locked(const CacheKey& key, std::string_view payload);
 
     std::string path_;
     std::size_t max_entries_;
 
     mutable std::mutex mu_;
     std::unordered_map<CacheKey, Entry, CacheKeyHash> map_;
-    std::list<CacheKey> lru_;  ///< front = most recent
+    Slot* lru_head_ = nullptr;  ///< most recently used
+    Slot* lru_tail_ = nullptr;  ///< least recently used, evicted first
     CacheStats stats_;
     obs::Histogram* age_hist_ = nullptr;  ///< set by attach_metrics
     bool warned_io_ = false;

@@ -1,7 +1,9 @@
 #include "serve/executor.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "mc/importance.hpp"
@@ -49,9 +51,9 @@ CacheKey JobExecutor::key_of(const JobSpec& spec) {
     return key;
 }
 
-std::string JobExecutor::compute_payload(const JobSpec& spec,
-                                         exec::ThreadPool& pool,
-                                         JobState* job) const {
+std::string JobExecutor::compute_payload(
+    const JobSpec& spec, exec::ThreadPool& pool, JobState* job,
+    const statmodel::GatedOscStatModel* model) const {
     if (spec.type == JobType::kScenario) {
         // Scenario payloads come from the runner's deterministic
         // TaskResults, never from a metrics registry (timers are
@@ -83,7 +85,8 @@ std::string JobExecutor::compute_payload(const JobSpec& spec,
     w.begin_object();
     switch (spec.type) {
         case JobType::kBer:
-            w.key("ber").value(statmodel::ber_of(spec.cfg));
+            w.key("ber").value(model ? model->ber_at(spec.cfg)
+                                     : statmodel::ber_of(spec.cfg));
             break;
         case JobType::kEye: {
             const statmodel::GatedOscStatModel model(spec.cfg);
@@ -162,6 +165,10 @@ ExecOutcome JobExecutor::run_sweep(JobState& job, exec::ThreadPool& pool) {
     const exec::SweepGrid grid(spec.axes);
     const std::size_t n = grid.size();
 
+    auto point_spec = [&](std::size_t i) {
+        return sweep_point_spec(spec, grid.point(i, spec.seed));
+    };
+
     // Pre-pass: resolve every point's key and pull cached payloads.
     std::vector<CacheKey> keys(n);
     std::vector<std::string> payloads(n);
@@ -169,9 +176,7 @@ ExecOutcome JobExecutor::run_sweep(JobState& job, exec::ThreadPool& pool) {
     std::vector<std::size_t> missing;
     ExecOutcome out;
     for (std::size_t i = 0; i < n; ++i) {
-        const exec::SweepPoint p = grid.point(i, spec.seed);
-        const JobSpec point = sweep_point_spec(spec, p);
-        keys[i] = key_of(point);
+        keys[i] = key_of(point_spec(i));
         if (cache_->lookup(keys[i], payloads[i])) {
             have[i] = 1;
             ++out.cache_hits;
@@ -200,6 +205,23 @@ ExecOutcome JobExecutor::run_sweep(JobState& job, exec::ThreadPool& pool) {
         if (have[i]) emit(i, /*cached=*/true);
     }
 
+    // Missing points evaluate through one model built from the first of
+    // them: ber_at reuses its edge PDFs for every point that shares them
+    // (an SJ or frequency axis: all points) and builds a point's own model
+    // otherwise. The model is built only when another point shares its
+    // PDFs, so a PDF-shaping axis such as rj_uirms builds no extra one.
+    std::optional<statmodel::GatedOscStatModel> model;
+    if (!missing.empty()) {
+        const statmodel::ModelConfig first = point_spec(missing[0]).cfg;
+        if (std::any_of(missing.begin() + 1, missing.end(),
+                        [&](std::size_t i) {
+                            return statmodel::shares_edge_pdfs(
+                                first, point_spec(i).cfg);
+                        })) {
+            model.emplace(first);
+        }
+    }
+
     // Compute phase: missing points through the cancellable pool loop.
     // The stop flag latches on the first cancel/deadline observation;
     // in-flight points finish and are stored (resume-friendly).
@@ -215,10 +237,9 @@ ExecOutcome JobExecutor::run_sweep(JobState& job, exec::ThreadPool& pool) {
                     // happened); that is fine — one extra point, stored.
                 }
                 const std::size_t i = missing[mi];
-                const exec::SweepPoint p = grid.point(i, spec.seed);
-                const JobSpec point = sweep_point_spec(spec, p);
                 obs::ScopedTimer t(metrics_, "serve.point_seconds");
-                payloads[i] = compute_payload(point, pool);
+                payloads[i] = compute_payload(point_spec(i), pool, nullptr,
+                                              model ? &*model : nullptr);
                 cache_->store(keys[i], payloads[i]);
                 have[i] = 1;
                 emit(i, /*cached=*/false);

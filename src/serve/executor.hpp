@@ -17,7 +17,10 @@
 // through ThreadPool::parallel_for_cancellable, so a job that hits its
 // deadline or is cancelled returns kPartial/kCancelled with whatever
 // completed — and those points are already stored, which is exactly why
-// resubmitting the same sweep resumes instead of recomputing.
+// resubmitting the same sweep resumes instead of recomputing. The missing
+// points evaluate through one GatedOscStatModel where they share its edge
+// PDFs (statmodel::shares_edge_pdfs), so an SJ-axis sweep convolves its
+// PDFs once instead of once per point.
 
 #include <cstdint>
 #include <string>
@@ -27,6 +30,7 @@
 #include "serve/cache.hpp"
 #include "serve/protocol.hpp"
 #include "serve/queue.hpp"
+#include "statmodel/gated_osc_model.hpp"
 
 namespace gcdr::serve {
 
@@ -60,10 +64,13 @@ private:
     /// `job` non-null only for single (non-sweep-point) computations:
     /// scenario health_probe tasks push live gcdr.health/v1 frames into
     /// it for the /v1/watch stream. Cache hits bypass this path, so a
-    /// fully cached job streams no frames — only the envelope.
-    [[nodiscard]] std::string compute_payload(const JobSpec& spec,
-                                              exec::ThreadPool& pool,
-                                              JobState* job = nullptr) const;
+    /// fully cached job streams no frames — only the envelope. A ber
+    /// point evaluates through `model`'s ber_at when given (sweeps share
+    /// one model), which is bit-identical to ber_of.
+    [[nodiscard]] std::string compute_payload(
+        const JobSpec& spec, exec::ThreadPool& pool,
+        JobState* job = nullptr,
+        const statmodel::GatedOscStatModel* model = nullptr) const;
 
     ResultCache* cache_;
     obs::MetricsRegistry* metrics_;

@@ -159,15 +159,19 @@ GatedOscStatModel::GatedOscStatModel(const ModelConfig& cfg) : cfg_(cfg) {
     }
 }
 
+bool shares_edge_pdfs(const ModelConfig& a, const ModelConfig& b) {
+    ModelConfig same_pdfs = b;
+    same_pdfs.spec.sj_uipp = a.spec.sj_uipp;
+    same_pdfs.spec.sj_freq_hz = a.spec.sj_freq_hz;
+    same_pdfs.sj_freq_norm = a.sj_freq_norm;
+    same_pdfs.freq_offset = a.freq_offset;
+    same_pdfs.trigger_mismatch_uirms = a.trigger_mismatch_uirms;
+    same_pdfs.run_model = a.run_model;
+    return same_pdfs == a;
+}
+
 bool GatedOscStatModel::shares_pdfs(const ModelConfig& point) const {
-    ModelConfig same_pdfs = point;
-    same_pdfs.spec.sj_uipp = cfg_.spec.sj_uipp;
-    same_pdfs.spec.sj_freq_hz = cfg_.spec.sj_freq_hz;
-    same_pdfs.sj_freq_norm = cfg_.sj_freq_norm;
-    same_pdfs.freq_offset = cfg_.freq_offset;
-    same_pdfs.trigger_mismatch_uirms = cfg_.trigger_mismatch_uirms;
-    same_pdfs.run_model = cfg_.run_model;
-    return same_pdfs == cfg_;
+    return shares_edge_pdfs(cfg_, point);
 }
 
 double GatedOscStatModel::ber_at(const ModelConfig& point) const {

@@ -116,6 +116,13 @@ inline constexpr std::size_t kMaxEdgePdfBins = 32768;
 /// else a one-line reason that starts with the offending field.
 [[nodiscard]] std::string check_model_config(const ModelConfig& cfg);
 
+/// True when `a` and `b` differ only in fields the edge PDFs do not
+/// depend on: SJ amplitude and frequency, freq_offset,
+/// trigger_mismatch_uirms and run_model. Any other field, including one
+/// added to ModelConfig later, counts as PDF-shaping.
+[[nodiscard]] bool shares_edge_pdfs(const ModelConfig& a,
+                                    const ModelConfig& b);
+
 /// Statistical model instance: holds the relative-edge PDF of every run
 /// length 1..max_cid, built once by the constructor.
 class GatedOscStatModel {
@@ -134,10 +141,7 @@ public:
     /// Bit error ratio under the configured run model.
     [[nodiscard]] double ber() const;
 
-    /// True when `point` differs from config() only in fields the edge
-    /// PDFs do not depend on: SJ amplitude and frequency, freq_offset,
-    /// trigger_mismatch_uirms and run_model. Any other field, including
-    /// one added to ModelConfig later, counts as PDF-shaping.
+    /// shares_edge_pdfs(config(), point).
     [[nodiscard]] bool shares_pdfs(const ModelConfig& point) const;
 
     /// BER at `point`, bit-identical to ber_of(point): from this model's

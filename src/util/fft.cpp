@@ -2,10 +2,12 @@
 
 #include "util/simd.hpp"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cassert>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <numbers>
@@ -134,19 +136,109 @@ std::vector<double> convolve_fft(const std::vector<double>& a,
     return out;
 }
 
+namespace {
+
+/// W doubles in one GCC/Clang vector-extension register; a plain double
+/// at W = 1.
+template <std::size_t W>
+struct Lanes {
+    typedef double type __attribute__((vector_size(W * sizeof(double))));
+};
+template <>
+struct Lanes<1> {
+    using type = double;
+};
+
+/// Accumulator registers per output block: 8 x W outputs stay in
+/// registers while the kernel walks the whole of `a` for them.
+constexpr std::size_t kBlockRegs = 8;
+
+/// convolve_direct at W lanes, output-stationary: each block of
+/// kBlockRegs * W outputs sums a[i] * b[k - i] in increasing i, the order
+/// of the naive i-outer loop, so every output has the naive loop's bits.
+/// b is first copied between block - 1 zeros on each side; a lane whose
+/// k - i falls outside b adds a[i] * 0.0, which leaves a finite sum
+/// unchanged. Force-inlined so each caller compiles the body for its own
+/// target.
+template <std::size_t W>
+[[gnu::always_inline]] inline std::vector<double> convolve_lanes(
+    const std::vector<double>& a, const std::vector<double>& b) {
+    using V = typename Lanes<W>::type;
+    constexpr std::size_t kBlock = kBlockRegs * W;
+    const std::size_t na = a.size();
+    const std::size_t nb = b.size();
+    std::vector<double> bp(nb + 2 * (kBlock - 1), 0.0);
+    std::copy(b.begin(), b.end(), bp.begin() + (kBlock - 1));
+    const std::size_t len = na + nb - 1;
+    std::vector<double> out(len);
+    for (std::size_t k0 = 0; k0 < len; k0 += kBlock) {
+        V acc[kBlockRegs];
+#pragma GCC unroll 16
+        for (std::size_t r = 0; r < kBlockRegs; ++r) acc[r] = V{};
+        const std::size_t i_lo = k0 + 1 > nb ? k0 + 1 - nb : 0;
+        const std::size_t i_hi = std::min(na - 1, k0 + kBlock - 1);
+        for (std::size_t i = i_lo; i <= i_hi; ++i) {
+            const V ai = a[i] - V{};  // broadcast; x - 0.0 == x, even -0.0
+            const double* bi = bp.data() + k0 + (kBlock - 1) - i;
+#pragma GCC unroll 16
+            for (std::size_t r = 0; r < kBlockRegs; ++r) {
+                V bv;
+                std::memcpy(&bv, bi + r * W, sizeof bv);
+                acc[r] += ai * bv;
+            }
+        }
+        std::memcpy(out.data() + k0, acc,
+                    std::min(kBlock, len - k0) * sizeof(double));
+    }
+    return out;
+}
+
+// The AVX2 copy exists only on x86 builds whose own vectors are SSE
+// (no -mavx). It enables AVX2 alone, not FMA, and the file is compiled
+// with -ffp-contract=off, so every multiply and add rounds on its own.
+#if GCDR_SIMD_ENABLED && (defined(__x86_64__) || defined(__i386__)) && \
+    !defined(__AVX__)
+#define GCDR_CONVOLVE_AVX2 1
+#else
+#define GCDR_CONVOLVE_AVX2 0
+#endif
+
+#if GCDR_CONVOLVE_AVX2
+__attribute__((target("avx2"))) std::vector<double> convolve_avx2(
+    const std::vector<double>& a, const std::vector<double>& b) {
+    return convolve_lanes<4>(a, b);
+}
+#endif
+
+}  // namespace
+
+namespace detail {
+
+std::vector<double> convolve_direct_build_width(const std::vector<double>& a,
+                                                const std::vector<double>& b) {
+    return convolve_lanes<simd::width_doubles()>(a, b);
+}
+
+ConvolveKernel convolve_direct_avx2() {
+#if GCDR_CONVOLVE_AVX2
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx2")) return &convolve_avx2;
+#endif
+    return nullptr;
+}
+
+}  // namespace detail
+
 std::vector<double> convolve_direct(const std::vector<double>& a,
                                     const std::vector<double>& b) {
     if (a.empty() || b.empty()) {
         throw std::invalid_argument("convolve_direct: empty input sequence");
     }
-    std::vector<double> out(a.size() + b.size() - 1, 0.0);
-    // axpy over the inner j-loop: each out[i+j] accumulates contributions
-    // in the same i-order as the scalar loop, so vectorization changes
-    // only the instruction mix, not the summation order.
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        simd::axpy(out.data() + i, b.data(), a[i], b.size());
-    }
-    return out;
+    static const detail::ConvolveKernel kernel = [] {
+        const detail::ConvolveKernel avx2 = detail::convolve_direct_avx2();
+        return avx2 ? avx2 : &detail::convolve_direct_build_width;
+    }();
+    return kernel(a, b);
 }
 
 }  // namespace gcdr

@@ -1,26 +1,20 @@
 #pragma once
-// Portable SIMD shim for the hot loops (convolution inner loop, batched
-// Box-Muller, SoA lane kernels). Built on std::experimental::simd when the
-// tree is configured with -DGCDR_SIMD=ON (the default) and the header is
-// available; otherwise every helper degrades to the equivalent scalar
-// loop. Callers never branch on availability themselves — they call the
-// dispatching helpers here, and the -DGCDR_SIMD=OFF CI leg proves the two
-// paths agree.
+// Build-time SIMD switch. With -DGCDR_SIMD=ON (the default) and
+// <experimental/simd> available, simd::width_doubles() is the width of
+// std::experimental::native_simd<double> for the build's target; with
+// -DGCDR_SIMD=OFF it is 1.
 //
-// Equivalence contract:
-//  - Integer and bitwise vector ops (the xoshiro256++ state update) are
-//    exact, so batched RNG streams are bit-identical to util/rng.hpp.
-//  - double add/mul/div/sqrt are IEEE-correctly-rounded in both paths, so
-//    element-wise kernels that keep the scalar accumulation order (axpy
-//    below) match to the last ulp unless the compiler contracts a
-//    mul+add into an FMA in only one path. The default build uses no
-//    -march flags (no FMA codegen), where both paths are bit-identical;
-//    tests compare with a 1-ulp-scale tolerance to stay robust under
-//    -march=native builds.
-//  - Transcendentals (log in Box-Muller) are ALWAYS evaluated per element
-//    through libm, never through a vector math library, because vector
-//    log implementations differ from libm in the last ulps and would
-//    break the batched kernel's bit-identity anchor.
+// Consumers:
+//  - util/fft.cpp's direct convolution instantiates its register-blocked
+//    kernel at this width (width 1 = the scalar fallback the OFF CI leg
+//    runs), plus an AVX2 copy on SSE-only x86 builds. Every width keeps
+//    the naive loop's summation order and never fuses a multiply-add, so
+//    all paths are bit-identical to it.
+//  - sim/batch reports the width as its `simd_width` gauge.
+//
+// Transcendentals are never vectorized through a vector math library:
+// vector log/exp differ from libm in the last ulps and would break the
+// batched kernels' bit-identity anchors.
 
 #if defined(GCDR_SIMD) && GCDR_SIMD && __has_include(<experimental/simd>)
 #define GCDR_SIMD_ENABLED 1
@@ -36,48 +30,12 @@
 
 namespace gcdr::simd {
 
-#if GCDR_SIMD_ENABLED
-namespace stdx = std::experimental;
-/// Vector of doubles and a same-width vector of u64 lanes (widths are
-/// forced equal via rebind so u64->double conversions stay element-wise).
-using VDouble = stdx::native_simd<double>;
-using VUint64 = stdx::rebind_simd_t<std::uint64_t, VDouble>;
-#endif
-
 /// Doubles per vector register in the active build (1 = scalar fallback).
 [[nodiscard]] constexpr std::size_t width_doubles() {
 #if GCDR_SIMD_ENABLED
-    return VDouble::size();
+    return std::experimental::native_simd<double>::size();
 #else
     return 1;
-#endif
-}
-
-[[nodiscard]] constexpr bool enabled() { return GCDR_SIMD_ENABLED != 0; }
-
-/// out[j] += a * b[j] for j in [0, n): the convolution inner loop
-/// (saxpy). Vectorizing over j preserves each output element's
-/// accumulation order across successive calls, which is what keeps
-/// GridPdf::convolve results stable against the scalar path.
-inline void axpy_scalar(double* out, const double* b, double a,
-                        std::size_t n) {
-    for (std::size_t j = 0; j < n; ++j) out[j] += a * b[j];
-}
-
-inline void axpy(double* out, const double* b, double a, std::size_t n) {
-#if GCDR_SIMD_ENABLED
-    constexpr std::size_t kW = VDouble::size();
-    const VDouble av = a;
-    std::size_t j = 0;
-    for (; j + kW <= n; j += kW) {
-        VDouble bv(&b[j], stdx::element_aligned);
-        VDouble ov(&out[j], stdx::element_aligned);
-        ov += av * bv;
-        ov.copy_to(&out[j], stdx::element_aligned);
-    }
-    for (; j < n; ++j) out[j] += a * b[j];
-#else
-    axpy_scalar(out, b, a, n);
 #endif
 }
 

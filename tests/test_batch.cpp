@@ -7,9 +7,9 @@
 //  - a run reaching t_end in many uneven run_until() steps equals one
 //    call;
 //  - NormalBank streams equal util::Rng::gaussian();
-//  - SIMD-vs-scalar-fallback equivalence for the convolve axpy kernel
-//    (the -DGCDR_SIMD=OFF CI leg reruns this whole file against the
-//    scalar build, closing the loop from the other side);
+//  - convolve_direct equals the naive loop bit for bit at this build's
+//    SIMD width (the -DGCDR_SIMD=OFF CI leg reruns this whole file against
+//    the width-1 build, closing the loop from the other side);
 //  - the batched BehavioralMarginModel oracle returns the same margins as
 //    the scalar one.
 
@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -32,7 +33,6 @@
 #include "sim/scheduler.hpp"
 #include "util/fft.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 
 namespace {
 
@@ -254,27 +254,6 @@ TEST(NormalBank, MatchesRngGaussianStream) {
     }
 }
 
-TEST(SimdShim, AxpyMatchesScalar) {
-    Rng rng(7);
-    for (const std::size_t n : {std::size_t{1}, std::size_t{7},
-                                std::size_t{64}, std::size_t{1023}}) {
-        std::vector<double> b(n), out_v(n, 0.0), out_s(n, 0.0);
-        for (auto& x : b) x = rng.gaussian();
-        for (int rep = 0; rep < 8; ++rep) {
-            const double a = rng.gaussian();
-            simd::axpy(out_v.data(), b.data(), a, n);
-            simd::axpy_scalar(out_s.data(), b.data(), a, n);
-        }
-        for (std::size_t i = 0; i < n; ++i) {
-            // Identical on FMA-free targets; allow 1-ulp-scale drift for
-            // -march builds where contraction may differ.
-            EXPECT_NEAR(out_v[i], out_s[i],
-                        std::abs(out_s[i]) * 1e-15 + 1e-300)
-                << i;
-        }
-    }
-}
-
 TEST(SimdShim, ConvolveDirectMatchesNaive) {
     Rng rng(11);
     std::vector<double> a(37), b(53);
@@ -288,10 +267,9 @@ TEST(SimdShim, ConvolveDirectMatchesNaive) {
         }
     }
     ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-        EXPECT_NEAR(got[i], want[i], std::abs(want[i]) * 1e-15 + 1e-300)
-            << i;
-    }
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          want.size() * sizeof(double)),
+              0);
 }
 
 TEST(BehavioralMarginModel, BatchedOracleMatchesScalar) {

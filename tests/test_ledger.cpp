@@ -91,6 +91,66 @@ TEST(JsonParse, DepthCapStopsRunawayNesting) {
     EXPECT_FALSE(json_parse(deep, v, nullptr));
 }
 
+TEST(JsonParse, StringErrorsPinMessageAndOffset) {
+    // parse_string copies each run of plain characters in one append;
+    // these pin the decoded text at run boundaries and the exact error
+    // string (message, byte offset, line/column) of every string failure.
+    struct Ok {
+        const char* doc;
+        const char* text;
+    };
+    for (const Ok& c : {Ok{R"("\"start")", "\"start"},
+                        Ok{R"("end\\")", "end\\"},
+                        Ok{R"("a\\\nb")", "a\\\nb"},
+                        Ok{R"("\n\t")", "\n\t"},
+                        Ok{R"("")", ""},
+                        Ok{R"("x\ud83d\ude00y")", "x\xF0\x9F\x98\x80y"}}) {
+        JsonValue v;
+        std::string err;
+        ASSERT_TRUE(json_parse(c.doc, v, &err)) << c.doc << ": " << err;
+        EXPECT_EQ(v.text, c.text) << c.doc;
+    }
+    struct Bad {
+        std::string doc;
+        const char* error;
+    };
+    const Bad bad[] = {
+        {"\"abc", "unterminated string at byte 4 (line 1, column 5)"},
+        {"{\"k\":\"abc", "unterminated string at byte 9 (line 1, column 10)"},
+        {"\"abc\\", "unterminated escape at byte 5 (line 1, column 6)"},
+        {R"("ab\q")", "unknown escape at byte 5 (line 1, column 6)"},
+        {"\"ab\x01" "cd\"",
+         "raw control character in string at byte 4 (line 1, column 5)"},
+        {"\"a\nb\"",
+         "raw control character in string at byte 3 (line 2, column 1)"},
+        {R"("x\ud83d")", "lone high surrogate at byte 8 (line 1, column 9)"},
+        {R"("\ud83d\u0041")", "bad low surrogate at byte 13 (line 1, column 14)"},
+        {R"("\ude00")", "lone low surrogate at byte 7 (line 1, column 8)"},
+        {R"("\ud83d\u12")", "truncated \\u escape at byte 9 (line 1, column 10)"},
+        {R"("\u00G0")", "bad \\u escape digit at byte 3 (line 1, column 4)"},
+    };
+    for (const Bad& c : bad) {
+        JsonValue v;
+        std::string err;
+        EXPECT_FALSE(json_parse(c.doc, v, &err)) << c.doc;
+        EXPECT_EQ(err, c.error) << c.doc;
+    }
+}
+
+TEST(JsonParse, FailureKeepsCompletedMembersAndDropsThePartialOne) {
+    JsonValue v;
+    std::string err;
+    ASSERT_FALSE(json_parse(R"({"a":1,"b":[2,{"c":"x)", v, &err));
+    EXPECT_EQ(err, "unterminated string at byte 21 (line 1, column 22)");
+    ASSERT_EQ(v.members.size(), 1u);
+    EXPECT_EQ(v.members[0].first, "a");
+    EXPECT_DOUBLE_EQ(v.members[0].second.number, 1.0);
+    ASSERT_FALSE(json_parse(R"([1,{"k":tru])", v, &err));
+    EXPECT_EQ(err, "invalid literal at byte 8 (line 1, column 9)");
+    ASSERT_EQ(v.items.size(), 1u);
+    EXPECT_DOUBLE_EQ(v.items[0].number, 1.0);
+}
+
 // --- ledger --------------------------------------------------------------
 
 TEST(Fnv1a64, KnownVectors) {

@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cctype>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -489,6 +491,120 @@ TEST(ResultCacheTest, CompactRewritesToLiveSet) {
     std::remove(path.c_str());
 }
 
+TEST(ResultCacheTest, CompactKeepsRecencyOrderAfterTouchesAndOverwrites) {
+    // The recency list is threaded through the map's own nodes: touching
+    // the head, a middle entry and the tail, overwriting and evicting must
+    // leave compact()'s oldest-first order where LRU semantics put it.
+    const std::string path =
+        ::testing::TempDir() + "gcdr_serve_cache_order.jsonl";
+    std::remove(path.c_str());
+    ResultCache cache(path, /*max_entries=*/4);
+    for (int i = 1; i <= 4; ++i) {
+        cache.store(key_for(i), std::to_string(i));  // newest first: 4 3 2 1
+    }
+    std::string out;
+    ASSERT_TRUE(cache.lookup(key_for(2), out));  // middle: 2 4 3 1
+    ASSERT_TRUE(cache.lookup(key_for(2), out));  // head: unchanged
+    ASSERT_TRUE(cache.lookup(key_for(1), out));  // tail: 1 2 4 3
+    cache.store(key_for(4), "44");               // overwrite: 4 1 2 3
+    cache.store(key_for(5), "5");                // evicts 3: 5 4 1 2
+    EXPECT_EQ(cache.stats().evictions, 1u);
+    EXPECT_FALSE(cache.contains(key_for(3)));
+    ASSERT_TRUE(cache.lookup(key_for(4), out));
+    EXPECT_EQ(out, "44");
+    ASSERT_TRUE(cache.compact());
+    std::ifstream is(path);
+    std::vector<std::string> payloads;
+    for (std::string line; std::getline(is, line);) {
+        obs::JsonValue v;
+        ASSERT_TRUE(obs::json_parse(line, v));
+        payloads.push_back(obs::canonical_json(*v.find("payload")));
+    }
+    // The lookup of 4 made it newest: oldest first is 2 1 5 4.
+    EXPECT_EQ(payloads, (std::vector<std::string>{"2", "1", "5", "44"}));
+    std::remove(path.c_str());
+}
+
+TEST(ResultCacheTest, ReloadReadsEveryLayoutLikeTheFullParse) {
+    // Lines in record_json's own layout skip building the record's JSON
+    // tree; any other line takes the full parse. Both must load and skip
+    // the same lines with the same key and payload bytes.
+    const std::string mh = util::hash_hex(key_for(1).model_hash);
+    auto cfg = [](std::uint64_t n) {
+        return util::hash_hex(key_for(n).config_hash);
+    };
+    auto own = [&](const std::string& config_hex, const std::string& seed,
+                   const std::string& payload) {
+        return std::string(R"({"schema":"gcdr.serve.cache/v1","config_hash":")") +
+               config_hex + R"(","seed":)" + seed + R"(,"model_hash":")" + mh +
+               R"(","payload":)" + payload + "}";
+    };
+    auto nested = [](int depth) {
+        return std::string(depth, '[') + "1" + std::string(depth, ']');
+    };
+    std::string escaped = cfg(7);
+    char esc[8];
+    std::snprintf(esc, sizeof esc, "\\u%04x",
+                  static_cast<unsigned>(escaped[0]));
+    escaped = esc + escaped.substr(1);
+    std::string upper = cfg(12);
+    for (char& c : upper) c = static_cast<char>(std::toupper(c));
+    const std::string truncated = own(cfg(13), "13", R"({"ber":13})");
+    CacheKey big_seed = key_for(6);
+    big_seed.seed = 18446744073709551615ull;
+    CacheKey zero_seed = key_for(18);
+    zero_seed.seed = 0;
+    struct Row {
+        std::string line;
+        CacheKey key;
+        std::optional<std::string> payload;  ///< nullopt: line skipped
+    };
+    const Row rows[] = {
+        {own(cfg(1), "1", R"({"ber":1.5e-13})"), key_for(1),
+         R"({"ber":1.5e-13})"},
+        {own(cfg(2), "2", " [1, 2]"), key_for(2), " [1, 2]"},
+        {R"({"model_hash":")" + mh + R"(","seed":3,"config_hash":")" +
+             cfg(3) +
+             R"(","schema":"gcdr.serve.cache/v1","payload":{"x":1}})",
+         key_for(3), R"({"x":1})"},
+        {own(cfg(5), "0005", "5"), key_for(5), "5"},
+        {own(cfg(6), "18446744073709551615", "6"), big_seed, "6"},
+        {own(escaped, "7", "7"), key_for(7), "7"},
+        {own(cfg(8), "8", "null"), key_for(8), std::nullopt},
+        {own(cfg(9), "9", "9") + " x", key_for(9), std::nullopt},
+        // The record adds one level: 126 nested arrays reach the parser's
+        // depth cap of 128, 127 exceed it.
+        {own(cfg(10), "10", nested(126)), key_for(10), nested(126)},
+        {own(cfg(11), "11", nested(127)), key_for(11), std::nullopt},
+        {own(upper, "12", "12"), key_for(12), std::nullopt},
+        {truncated.substr(0, truncated.size() - 4), key_for(13),
+         std::nullopt},
+        {own(cfg(15), "15", "15") + " ", key_for(15), "15"},
+        {own(cfg(16), "16", R"("s\u0041")"), key_for(16), R"("s\u0041")"},
+        {own(cfg(17), "17", "[]"), key_for(17), "[]"},
+        {own(cfg(18), "0", "18"), zero_seed, "18"},
+    };
+    const std::string path =
+        ::testing::TempDir() + "gcdr_serve_cache_layouts.jsonl";
+    {
+        std::ofstream os(path);
+        for (const Row& r : rows) os << r.line << '\n';
+    }
+    ResultCache cache(path);
+    ASSERT_TRUE(cache.load());
+    EXPECT_EQ(cache.stats().loaded, 11u);
+    EXPECT_EQ(cache.stats().load_skipped, 5u);
+    for (std::size_t i = 0; i < std::size(rows); ++i) {
+        std::string out;
+        const bool hit = cache.lookup(rows[i].key, out);
+        ASSERT_EQ(hit, rows[i].payload.has_value()) << "row " << i;
+        if (hit) {
+            EXPECT_EQ(out, *rows[i].payload) << "row " << i;
+        }
+    }
+    std::remove(path.c_str());
+}
+
 // --- job queue -----------------------------------------------------------
 
 JobSpec quick_spec(int priority = 0, double deadline_s = 0.0) {
@@ -621,6 +737,50 @@ TEST(JobExecutorTest, SweepCachesPointsAndResumes) {
     const obs::JsonValue* points = v.find("payload")->find("points");
     ASSERT_TRUE(points && points->is_array());
     EXPECT_EQ(points->items.size(), 3u);
+}
+
+TEST(JobExecutorTest, SweepPayloadsMatchSingleBerJobsByteForByte) {
+    // A sweep evaluates its points through one model where they share its
+    // edge PDFs (the SJ axes), and through per-point models where they do
+    // not (an rj_uirms axis); either way each point stores the bytes a
+    // standalone ber job for it stores.
+    const char* sweeps[] = {
+        R"({"type":"sweep","config":{"grid_dx":0.01,"rj_uirms":0.021},
+            "axes":[{"name":"sj_uipp","values":[0.05,0.15,0.3]},
+                    {"name":"sj_freq_norm","values":[0.1,0.4]}]})",
+        R"({"type":"sweep","config":{"grid_dx":0.01,"sj_uipp":0.3},
+            "axes":[{"name":"rj_uirms","values":[0.018,0.021,0.024]}]})",
+        R"({"type":"sweep","config":{"grid_dx":0.01,"sj_uipp":0.3},
+            "axes":[{"name":"rj_uirms","values":[0.018,0.024]},
+                    {"name":"sj_freq_norm","values":[0.1,0.4]}]})",
+    };
+    exec::ThreadPool pool(2);
+    for (const char* body : sweeps) {
+        const JobSpec sweep = parse_ok(body);
+        ResultCache sweep_cache;
+        JobExecutor sweep_executor(sweep_cache);
+        JobState job(1, sweep);
+        ASSERT_EQ(sweep_executor.execute(job, pool).status, JobStatus::kDone);
+        const exec::SweepGrid grid(sweep.axes);
+        bool any_nonzero = false;
+        for (std::size_t i = 0; i < grid.size(); ++i) {
+            const JobSpec point =
+                sweep_point_spec(sweep, grid.point(i, sweep.seed));
+            ResultCache single_cache;
+            JobExecutor single_executor(single_cache);
+            JobState single(2, point);
+            ASSERT_EQ(single_executor.execute(single, pool).status,
+                      JobStatus::kDone);
+            std::string from_sweep, from_single;
+            ASSERT_TRUE(
+                sweep_cache.lookup(JobExecutor::key_of(point), from_sweep));
+            ASSERT_TRUE(
+                single_cache.lookup(JobExecutor::key_of(point), from_single));
+            EXPECT_EQ(from_sweep, from_single) << body << " point " << i;
+            any_nonzero |= from_single != R"({"ber":0})";
+        }
+        EXPECT_TRUE(any_nonzero) << body;
+    }
 }
 
 TEST(JobExecutorTest, CancelledSweepReturnsPartialProgress) {
