@@ -5,12 +5,17 @@
 // spec, the buffer recenters by dropping or repeating SKIP symbols at
 // defined boundaries (the standard 8b/10b skip-ordered-set mechanism,
 // modeled at bit granularity with marked skippable positions).
+//
+// Storage is a fixed ring of `depth` slots, allocated once: occupancy
+// never exceeds the depth (write() refuses a bit at full depth, and
+// read()'s repeat of a skippable bit keeps it in the slot it would have
+// left), so the FIFO needs no node allocation on the per-bit path.
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "obs/metrics.hpp"
 
@@ -29,7 +34,7 @@ public:
     /// underflow (and counts it).
     [[nodiscard]] std::optional<bool> read();
 
-    [[nodiscard]] std::size_t occupancy() const { return fifo_.size(); }
+    [[nodiscard]] std::size_t occupancy() const { return size_; }
     [[nodiscard]] std::size_t depth() const { return depth_; }
     [[nodiscard]] std::uint64_t overflows() const { return overflows_; }
     [[nodiscard]] std::uint64_t underflows() const { return underflows_; }
@@ -60,11 +65,18 @@ private:
         bool skippable;
     };
 
+    /// Ring slot of the k-th oldest entry (k < depth).
+    [[nodiscard]] std::size_t slot(std::size_t k) const {
+        const std::size_t j = head_ + k;
+        return j < depth_ ? j : j - depth_;
+    }
     void recenter();
     void note_occupancy();
 
     std::size_t depth_;
-    std::deque<Entry> fifo_;
+    std::vector<Entry> ring_;  ///< depth_ slots; the FIFO starts at head_
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
     std::uint64_t overflows_ = 0;
     std::uint64_t underflows_ = 0;
     std::uint64_t dropped_ = 0;

@@ -223,9 +223,12 @@ std::vector<std::vector<bool>> MultiChannelCdr::drain_elastic() {
     std::vector<std::vector<bool>> out(elastic_.size());
     for (std::size_t i = 0; i < elastic_.size(); ++i) {
         auto& eb = *elastic_[i];
+        const auto& decisions = channel(static_cast<int>(i)).decisions();
+        // At most one bit per decision, plus the residue.
+        out[i].reserve(decisions.size() + eb.depth());
         // Both domains run at the same nominal rate: one system-clock read
         // per recovered-clock write, then drain the residue.
-        for (const auto& d : channel(static_cast<int>(i)).decisions()) {
+        for (const auto& d : decisions) {
             eb.write(d.bit);
             if (auto b = eb.read()) out[i].push_back(*b);
         }

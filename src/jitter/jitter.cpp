@@ -17,55 +17,85 @@ double SinusoidalJitter::at(double t_seconds) const {
 
 std::vector<Edge> jittered_edges(const std::vector<bool>& bits,
                                  const StreamParams& params, Rng& rng) {
+    // Neither scan below branches on a bit's value: a transition adds one
+    // to a count instead of taking a jump the predictor would miss on
+    // about half of all bits.
+    std::size_t n = 0;
+    bool level = params.initial_level;
+    for (std::size_t i = 0; i < bits.size(); ++i) {
+        n += bits[i] != level ? 1 : 0;
+        level = bits[i];
+    }
     std::vector<Edge> out;
-    if (bits.empty()) return out;
+    out.reserve(n);
 
     const double ui_s = params.rate.ui_seconds() /
                         (1.0 + params.data_rate_offset);
     const SinusoidalJitter sj(params.spec.sj_uipp, params.spec.sj_freq_hz);
+    const double half = params.spec.dj_uipp / 2.0;
+    const double rj = params.spec.rj_uirms;
+    // The RJ normals are the only draws, one per edge in edge order,
+    // unless the DJ model draws too: then they come in blocks.
+    const bool dj_draws = params.spec.dj_uipp > 0.0 &&
+                          params.dj_model == DjModel::kIndependent;
+    const bool block_rj = rj > 0.0 && !dj_draws;
 
-    bool level = params.initial_level;
+    constexpr std::size_t kBlock = 256;
+    std::size_t at[kBlock] = {};  // bit index of each transition in the block
+    double z[kBlock] = {};
     SimTime prev_time = params.start - SimTime::fs(1);
     std::size_t run_start = 0;
-    for (std::size_t i = 0; i < bits.size(); ++i) {
-        if (bits[i] == level) continue;  // no transition at this boundary
-        const double nominal_s =
-            params.start.seconds() + static_cast<double>(i) * ui_s;
-        double disp_ui = 0.0;
-        if (params.spec.dj_uipp > 0.0) {
-            const double half = params.spec.dj_uipp / 2.0;
-            switch (params.dj_model) {
-                case DjModel::kTriangleSweep: {
-                    // Triangle wave in [-1, 1]: uniform stationary PDF.
-                    const double x =
-                        2.0 * std::numbers::pi * params.dj_sweep_freq_hz *
-                        nominal_s;
-                    disp_ui += half * (2.0 / std::numbers::pi) *
-                               std::asin(std::sin(x));
-                    break;
-                }
-                case DjModel::kIndependent:
-                    disp_ui += rng.uniform(-half, half);
-                    break;
-                case DjModel::kIsi: {
-                    const double r = std::max<std::size_t>(1, i - run_start);
-                    disp_ui +=
-                        half * (1.0 - std::pow(2.0, 2.0 - static_cast<double>(r)));
-                    break;
+    level = params.initial_level;
+    for (std::size_t i = 0; i < bits.size();) {
+        // The next block of transitions: every index is stored, and the
+        // count moves past it only where the level changes.
+        std::size_t m = 0;
+        for (; i < bits.size() && m < kBlock; ++i) {
+            at[m] = i;
+            m += bits[i] != level ? 1 : 0;
+            level = bits[i];
+        }
+        if (block_rj) rng.gaussians(z, m);
+        for (std::size_t k = 0; k < m; ++k) {
+            const double nominal_s =
+                params.start.seconds() + static_cast<double>(at[k]) * ui_s;
+            double disp_ui = 0.0;
+            if (params.spec.dj_uipp > 0.0) {
+                switch (params.dj_model) {
+                    case DjModel::kTriangleSweep: {
+                        // Triangle wave in [-1, 1]: uniform stationary PDF.
+                        const double x = 2.0 * std::numbers::pi *
+                                         params.dj_sweep_freq_hz * nominal_s;
+                        disp_ui += half * (2.0 / std::numbers::pi) *
+                                   std::asin(std::sin(x));
+                        break;
+                    }
+                    case DjModel::kIndependent:
+                        disp_ui += rng.uniform(-half, half);
+                        break;
+                    case DjModel::kIsi: {
+                        const double r =
+                            std::max<std::size_t>(1, at[k] - run_start);
+                        disp_ui += half * (1.0 - std::pow(2.0, 2.0 - r));
+                        break;
+                    }
                 }
             }
-        }
-        if (params.spec.rj_uirms > 0.0) {
-            disp_ui += rng.gaussian(0.0, params.spec.rj_uirms);
-        }
-        disp_ui += sj.at(nominal_s);
+            if (rj > 0.0) {
+                // rng.gaussian(0.0, rj) is 0.0 + rj * z; keep its exact sum.
+                disp_ui += 0.0 + rj * (block_rj ? z[k] : rng.gaussian());
+            }
+            disp_ui += sj.at(nominal_s);
 
-        SimTime t = SimTime::from_seconds(nominal_s + disp_ui * ui_s);
-        if (t <= prev_time) t = prev_time + SimTime::fs(1);
-        out.push_back(Edge{t, bits[i]});
-        prev_time = t;
-        level = bits[i];
-        run_start = i;
+            const SimTime t = std::max(
+                SimTime::from_seconds(nominal_s + disp_ui * ui_s),
+                prev_time + SimTime::fs(1));
+            // Levels alternate from the initial one: edge 0 leaves it.
+            out.push_back(
+                Edge{t, params.initial_level == (out.size() % 2 == 1)});
+            prev_time = t;
+            run_start = at[k];
+        }
     }
     return out;
 }

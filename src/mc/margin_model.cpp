@@ -257,8 +257,12 @@ double BehavioralMarginModel::margin_ui(const RunSample& s) const {
         const auto expected =
             static_cast<std::uint64_t>(params_.warmup_bits / 2 + L);
         // Dump while this evaluation's tracer is still alive, then detach
-        // it — the ring outlives the eval, the tracer does not.
-        if (ones != expected) params_.flight->dump("mc_margin_error");
+        // it — the ring outlives the eval, the tracer does not. Only this
+        // lane's ring is dumped: the other lanes' rings and tracers are
+        // being written, or freed, while this one dumps.
+        if (ones != expected) {
+            params_.flight->dump_ring(*ring, "mc_margin_error");
+        }
         ring->set_tracer(nullptr);
     }
     return resolve_margin(margins, ch.decisions().size(), ones, L);

@@ -127,9 +127,10 @@ public:
         /// Optional post-mortem sink: every evaluation records its channel
         /// events (with causal ids) into the ring "mc.lane<k>" for the
         /// executing pool lane, and an evaluation whose recovered-bit
-        /// count is wrong dumps ("mc_margin_error") before returning — so
-        /// a failed splitting clone leaves a walkable trace. nullptr (the
-        /// default) costs nothing.
+        /// count is wrong dumps that ring alone (dump_ring,
+        /// "mc_margin_error") before returning — so a failed splitting
+        /// clone leaves a walkable trace, however many lanes run. nullptr
+        /// (the default) costs nothing.
         obs::FlightRecorder* flight = nullptr;
         std::size_t flight_tracer_capacity = 1024;
         /// > 1: margin_ui_batch() evaluates clones on the batched SoA

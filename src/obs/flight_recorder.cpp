@@ -107,7 +107,24 @@ std::string FlightRecorder::dump(const std::string& reason,
         triggers_.fetch_add(1, std::memory_order_relaxed);
     std::lock_guard<std::mutex> lock(mu_);
     if (n >= config_.max_dumps) return "";
+    std::vector<const FlightRing*> rings;
+    rings.reserve(rings_.size());
+    for (const auto& r : rings_) rings.push_back(r.get());
+    return write_dump(reason, focus_id, rings, true);
+}
 
+std::string FlightRecorder::dump_ring(const FlightRing& own,
+                                      const std::string& reason) {
+    const std::uint64_t n =
+        triggers_.fetch_add(1, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(mu_);
+    if (n >= config_.max_dumps) return "";
+    return write_dump(reason, 0, {&own}, false);
+}
+
+std::string FlightRecorder::write_dump(
+    const std::string& reason, std::uint64_t focus_id,
+    const std::vector<const FlightRing*>& rings, bool waveforms) {
     // Snapshot every ring up front; find the trigger time (newest event
     // anywhere) and, if no focus was given, the newest traced event.
     struct RingView {
@@ -115,15 +132,16 @@ std::string FlightRecorder::dump(const std::string& reason,
         std::vector<FlightEvent> events;
     };
     std::vector<RingView> views;
-    views.reserve(rings_.size());
+    views.reserve(rings.size());
     std::int64_t trigger_time_fs = 0;
     const CausalTracer* focus_tracer = nullptr;
     std::int64_t focus_time_fs = -1;
-    for (const auto& r : rings_) {
-        views.push_back(RingView{r.get(), r->snapshot()});
+    const bool pick_focus = focus_id == 0;
+    for (const FlightRing* r : rings) {
+        views.push_back(RingView{r, r->snapshot()});
         for (const FlightEvent& ev : views.back().events) {
             trigger_time_fs = std::max(trigger_time_fs, ev.time_fs);
-            if (focus_id == 0 && ev.cause_id != 0 && r->tracer() &&
+            if (pick_focus && ev.cause_id != 0 && r->tracer() &&
                 ev.time_fs > focus_time_fs) {
                 focus_time_fs = ev.time_fs;
                 focus_id = ev.cause_id;
@@ -134,7 +152,7 @@ std::string FlightRecorder::dump(const std::string& reason,
     if (focus_id != 0 && !focus_tracer) {
         // Explicit focus id: resolve against the first ring that has a
         // tracer attached (single-scheduler dumps, the common case).
-        for (const auto& r : rings_)
+        for (const FlightRing* r : rings)
             if (r->tracer()) { focus_tracer = r->tracer(); break; }
     }
 
@@ -153,7 +171,7 @@ std::string FlightRecorder::dump(const std::string& reason,
     const std::string json_path = stem + ".json";
 
     std::vector<std::string> waveform_paths;
-    if (waveform_dump_) {
+    if (waveforms && waveform_dump_) {
         waveform_paths = waveform_dump_(
             stem, trigger_time_fs - config_.window_fs,
             trigger_time_fs + config_.window_fs);

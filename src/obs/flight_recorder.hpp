@@ -11,10 +11,13 @@
 //
 // Concurrency: each FlightRing has exactly one producer (the thread
 // driving that channel's scheduler); append() is wait-free for that
-// producer. snapshot()/dump() are meant for after the producer has
-// stopped (post-mortem) or from the producing thread itself (the
-// lock-loss and fault paths); a racing dump can only see a torn *oldest*
-// slot, never corrupt the ring.
+// producer. dump() reads every ring and every attached tracer, so it is
+// meant for after the producers have stopped (post-mortem) or for a
+// recorder whose rings all share the dumping thread (MultiChannelCdr's
+// lock-loss and fault paths). Producers that keep running on other
+// threads while one of them faults (the MC pool lanes) use dump_ring(),
+// which reads only the caller's own ring and tracer: nothing another
+// thread writes or frees.
 //
 // The crash handler is best-effort: dumping from a signal context is not
 // async-signal-safe (it allocates and does file I/O), but on SIGSEGV the
@@ -119,6 +122,13 @@ public:
     /// counts in triggers()).
     std::string dump(const std::string& reason, std::uint64_t focus_id = 0);
 
+    /// Post-mortem of one producer, taken on its own thread while other
+    /// rings keep recording: like dump(), but the JSON holds only `own`'s
+    /// events and the causal chain from the newest traced one through
+    /// `own`'s tracer, and no waveform hook runs (it covers the whole
+    /// recorder). Counts against max_dumps like dump().
+    std::string dump_ring(const FlightRing& own, const std::string& reason);
+
     [[nodiscard]] std::uint64_t triggers() const {
         return triggers_.load(std::memory_order_relaxed);
     }
@@ -132,6 +142,11 @@ public:
     void install_crash_handler();
 
 private:
+    /// The dump body over `rings`; the caller holds mu_.
+    std::string write_dump(const std::string& reason, std::uint64_t focus_id,
+                           const std::vector<const FlightRing*>& rings,
+                           bool waveforms);
+
     Config config_;
     mutable std::mutex mu_;
     std::vector<std::unique_ptr<FlightRing>> rings_;

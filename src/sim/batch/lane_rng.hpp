@@ -1,14 +1,17 @@
 #pragma once
-// Per-lane xoshiro256++ streams feeding the batched channel kernel's
-// jitter draws.
+// Per-lane normal streams feeding the batched channel kernel's jitter
+// draws.
 //
 // Contract: for a lane seeded with S, the sequence popped by next(lane)
 // is bit-identical to the sequence util::Rng(S).gaussian() would return —
 // including the polar Box-Muller pair order (u*factor first, then the
-// cached v*factor). The scalar event path consumes its normals one at a
-// time as gate evaluations fire; the batch path pre-generates them in
-// chunks. Because generation within a lane is strictly sequential and
-// consumption is FIFO, chunking changes nothing about the values.
+// cached v*factor). It is the same generator: each lane owns a util::Rng
+// and refills through Rng::gaussians(), the repository's one block
+// normal generator, so the scalar event path (one gaussian() per gate
+// evaluation) and the batch path (chunks ahead of each slice) share
+// every line of the arithmetic. Because generation within a lane is
+// strictly sequential and consumption is FIFO, chunking changes nothing
+// about the values.
 //
 // Each lane's generator state and FIFO live on cache lines of their own,
 // and refill(lane) touches nothing but that lane, so the kernel's pool
@@ -29,9 +32,8 @@ class NormalBank {
 public:
     explicit NormalBank(std::size_t lanes);
 
-    /// Re-seed one lane, discarding its buffered normals. Seeding matches
-    /// util::Xoshiro256(seed): four splitmix64 draws plus the zero-state
-    /// guard.
+    /// Re-seed one lane, discarding its buffered normals: the lane then
+    /// yields what util::Rng(seed).gaussian() would.
     void seed_lane(std::size_t lane, std::uint64_t seed);
     /// Re-seed one lane from a generator state: the lane then yields what
     /// util::Rng(gen).gaussian() would (e.g. a long_jump()-separated
@@ -69,7 +71,7 @@ public:
 
 private:
     struct alignas(kCacheLine) Stream {
-        std::uint64_t s[4] = {};  ///< xoshiro256++ state
+        Rng rng;
         std::size_t head = 0;
         LineVector<double> buf;
     };

@@ -1,5 +1,6 @@
 #include "util/rng.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
@@ -8,6 +9,36 @@ namespace gcdr {
 namespace {
 constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
+}
+
+// Uniform in [0, 1): the top 53 bits of one output, scaled.
+inline double unit(std::uint64_t r) {
+    return static_cast<double>(r >> 11) * 0x1.0p-53;
+}
+
+// One polar Box-Muller candidate: a point of [-1, 1)^2 and its squared
+// radius. It is accepted when 0 < s < 1.
+struct Candidate {
+    double u, v, s;
+};
+
+inline Candidate candidate(Xoshiro256& gen) {
+    const double u = 2.0 * unit(gen()) - 1.0;
+    const double v = 2.0 * unit(gen()) - 1.0;
+    return {u, v, u * u + v * v};
+}
+
+inline bool accepted(double s) { return (s < 1.0) & (s != 0.0); }
+
+// The polar transform of an accepted candidate, given log(s). Shared by
+// gaussian() and gaussians(): besides libm's log, only the correctly
+// rounded division, square root and products enter, so the two paths
+// agree bit for bit however the block path schedules its log calls.
+inline void polar_pair(const Candidate& c, double log_s, double& first,
+                       double& second) {
+    const double factor = std::sqrt(-2.0 * log_s / c.s);
+    first = c.u * factor;
+    second = c.v * factor;
 }
 
 // splitmix64: seeds the xoshiro state from a single 64-bit value.
@@ -61,10 +92,7 @@ void Xoshiro256::long_jump() {
     s_[3] = s3;
 }
 
-double Rng::uniform() {
-    // 53-bit mantissa: top bits of the 64-bit output.
-    return static_cast<double>(gen_() >> 11) * 0x1.0p-53;
-}
+double Rng::uniform() { return unit(gen_()); }
 
 double Rng::uniform(double lo, double hi) {
     return lo + (hi - lo) * uniform();
@@ -75,16 +103,50 @@ double Rng::gaussian() {
         has_cached_ = false;
         return cached_gaussian_;
     }
-    double u, v, s;
+    Candidate c{};
     do {
-        u = 2.0 * uniform() - 1.0;
-        v = 2.0 * uniform() - 1.0;
-        s = u * u + v * v;
-    } while (s >= 1.0 || s == 0.0);
-    const double factor = std::sqrt(-2.0 * std::log(s) / s);
-    cached_gaussian_ = v * factor;
+        c = candidate(gen_);
+    } while (!accepted(c.s));
+    double first = 0.0;
+    polar_pair(c, std::log(c.s), first, cached_gaussian_);
     has_cached_ = true;
-    return u * factor;
+    return first;
+}
+
+void Rng::gaussians(double* out, std::size_t n) {
+    if (n == 0) return;
+    if (has_cached_) {
+        has_cached_ = false;
+        *out++ = cached_gaussian_;
+        --n;
+    }
+    constexpr std::size_t kBlockPairs = 128;
+    Candidate c[kBlockPairs] = {};
+    double log_s[kBlockPairs] = {};
+    while (n > 0) {
+        const std::size_t pairs = std::min(kBlockPairs, (n + 1) / 2);
+        // Pass 1: candidates until `pairs` are accepted. Each one is
+        // stored, and the slot index moves past it only if it was
+        // accepted, so the rejection test feeds an add, not a jump.
+        std::size_t kept = 0;
+        while (kept < pairs) {
+            c[kept] = candidate(gen_);
+            kept += accepted(c[kept].s) ? 1 : 0;
+        }
+        // Pass 2: independent log calls, then the transform.
+        for (std::size_t k = 0; k < pairs; ++k) log_s[k] = std::log(c[k].s);
+        const std::size_t whole = std::min(pairs, n / 2);
+        for (std::size_t k = 0; k < whole; ++k) {
+            polar_pair(c[k], log_s[k], out[2 * k], out[2 * k + 1]);
+        }
+        out += 2 * whole;
+        n -= 2 * whole;
+        if (whole < pairs) {  // n was odd: the last pair's second deviate
+            polar_pair(c[whole], log_s[whole], *out, cached_gaussian_);
+            has_cached_ = true;
+            n = 0;
+        }
+    }
 }
 
 double Rng::gaussian(double mean, double sigma) {

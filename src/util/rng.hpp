@@ -5,8 +5,16 @@
 // here a xoshiro256++ generator feeds uniform, Gaussian (polar Box-Muller),
 // arcsine (sinusoidal-jitter histogram) and dual-Dirac samplers. Every
 // simulation object takes an explicit seed so runs are reproducible.
+//
+// Rng is the only Gaussian generator in the repository. gaussian() draws
+// one polar pair at a time; gaussians() draws the same pairs in blocks
+// for the bulk consumers (jittered edge streams, the batched lane
+// kernel's NormalBank). Both evaluate a pair through one function in
+// rng.cpp, so no build target can compile the two paths differently,
+// and a block of n values equals n calls of gaussian() bit for bit,
+// generator state and cached second deviate included.
 
-#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <random>
 
@@ -27,12 +35,6 @@ public:
     /// Advance 2^128 steps; gives independent sequences for parallel channels.
     void long_jump();
 
-    /// The four state words, for a consumer that runs the same recurrence
-    /// on its own storage (the batched kernel's per-lane streams).
-    [[nodiscard]] std::array<std::uint64_t, 4> state() const {
-        return {s_[0], s_[1], s_[2], s_[3]};
-    }
-
 private:
     std::uint64_t s_[4];
 };
@@ -51,6 +53,12 @@ public:
     double uniform(double lo, double hi);
     /// Standard normal via polar Box-Muller (caches the second deviate).
     double gaussian();
+    /// n standard normals into out[0, n): the values and the final
+    /// generator state of n calls of gaussian(), including a cached
+    /// deviate consumed first and one left cached when the last pair is
+    /// split. Candidates are drawn in blocks, without a branch on the
+    /// rejection test.
+    void gaussians(double* out, std::size_t n);
     /// Normal with the given mean and standard deviation.
     double gaussian(double mean, double sigma);
     /// Arcsine distribution on [-amp, +amp]: the PDF of A*sin(uniform phase).

@@ -3,10 +3,16 @@
 #include <cmath>
 #include <cstdio>
 
+#include "util/fast_round.hpp"
+
 namespace gcdr {
 
 SimTime SimTime::from_seconds(double s) {
-    return SimTime{static_cast<std::int64_t>(std::llround(s * 1e15))};
+    const double fs = s * 1e15;
+    // llround_i64 equals std::llround below 2^62 without its libm call;
+    // larger and non-finite values keep libm's behaviour.
+    if (std::abs(fs) < 0x1p62) return SimTime{util::llround_i64(fs)};
+    return SimTime{static_cast<std::int64_t>(std::llround(fs))};
 }
 
 std::string SimTime::to_string() const {

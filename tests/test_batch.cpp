@@ -252,6 +252,21 @@ TEST(NormalBank, MatchesRngGaussianStream) {
             EXPECT_EQ(bank.next(2), r2.gaussian()) << i;
         }
     }
+    // Explicit refills of odd sizes and of sizes that cross the block
+    // generator's 256-value blocks, each followed by a partial pop: the
+    // stream must not depend on how it was chunked.
+    sim::batch::NormalBank bank(1);
+    bank.seed_lane(0, 99);
+    Rng ref(99);
+    std::size_t popped = 0;
+    for (const std::size_t want :
+         {1u, 3u, 255u, 256u, 257u, 129u, 513u, 2u, 4097u, 12288u}) {
+        bank.refill(0, want);
+        ASSERT_GE(bank.size(0) - bank.head(0), want);
+        for (std::size_t i = 0; i < want / 2 + 1; ++i, ++popped) {
+            ASSERT_EQ(bank.next(0), ref.gaussian()) << popped;
+        }
+    }
 }
 
 TEST(SimdShim, ConvolveDirectMatchesNaive) {

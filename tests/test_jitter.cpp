@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numbers>
 
 #include "encoding/prbs.hpp"
 #include "jitter/jitter.hpp"
@@ -148,6 +150,119 @@ TEST(JitteredEdges, SjShiftsEdgesCoherently) {
         const double nominal = static_cast<double>(i) * ui;
         const double dev_ui = (edges[i].time.seconds() - nominal) / ui;
         EXPECT_NEAR(dev_ui, sj.at(nominal), 1e-4);
+    }
+}
+
+// jittered_edges as a per-edge loop: one branch per bit, one
+// rng.gaussian(0, sigma) per edge, std::llround onto the fs grid. The
+// library's block-drawn version must reproduce it bit for bit, edges and
+// generator state alike.
+std::vector<Edge> reference_edges(const std::vector<bool>& bits,
+                                  const StreamParams& params, Rng& rng) {
+    std::vector<Edge> out;
+    const double ui_s = params.rate.ui_seconds() /
+                        (1.0 + params.data_rate_offset);
+    const SinusoidalJitter sj(params.spec.sj_uipp, params.spec.sj_freq_hz);
+    bool level = params.initial_level;
+    SimTime prev_time = params.start - SimTime::fs(1);
+    std::size_t run_start = 0;
+    for (std::size_t i = 0; i < bits.size(); ++i) {
+        if (bits[i] == level) continue;
+        const double nominal_s =
+            params.start.seconds() + static_cast<double>(i) * ui_s;
+        double disp_ui = 0.0;
+        if (params.spec.dj_uipp > 0.0) {
+            const double half = params.spec.dj_uipp / 2.0;
+            switch (params.dj_model) {
+                case DjModel::kTriangleSweep: {
+                    const double x = 2.0 * std::numbers::pi *
+                                     params.dj_sweep_freq_hz * nominal_s;
+                    disp_ui += half * (2.0 / std::numbers::pi) *
+                               std::asin(std::sin(x));
+                    break;
+                }
+                case DjModel::kIndependent:
+                    disp_ui += rng.uniform(-half, half);
+                    break;
+                case DjModel::kIsi: {
+                    const double r = std::max<std::size_t>(1, i - run_start);
+                    disp_ui += half * (1.0 - std::pow(2.0, 2.0 - r));
+                    break;
+                }
+            }
+        }
+        if (params.spec.rj_uirms > 0.0) {
+            disp_ui += rng.gaussian(0.0, params.spec.rj_uirms);
+        }
+        disp_ui += sj.at(nominal_s);
+        SimTime t{static_cast<std::int64_t>(
+            std::llround((nominal_s + disp_ui * ui_s) * 1e15))};
+        if (t <= prev_time) t = prev_time + SimTime::fs(1);
+        out.push_back(Edge{t, bits[i]});
+        prev_time = t;
+        level = bits[i];
+        run_start = i;
+    }
+    return out;
+}
+
+TEST(JitteredEdges, MatchesPerEdgeReferenceBitForBit) {
+    encoding::PrbsGenerator gen(encoding::PrbsOrder::kPrbs7);
+    std::vector<bool> bits = gen.bits(3000);
+    // Long runs as well, for the ISI model's run lengths.
+    bits.insert(bits.end(), 9, true);
+    bits.insert(bits.end(), 7, false);
+    const std::vector<bool> alt = alternating(41);
+    bits.insert(bits.end(), alt.begin(), alt.end());
+    int cases = 0;
+    for (const DjModel model :
+         {DjModel::kTriangleSweep, DjModel::kIndependent, DjModel::kIsi}) {
+        for (const double dj : {0.0, 0.4}) {
+            for (const double rj : {0.0, 0.021}) {
+                for (const double sj : {0.0, 0.3}) {
+                    for (const bool initial : {false, true}) {
+                        for (const double offset : {0.0, 1e-4, -3e-4}) {
+                            StreamParams sp;
+                            sp.dj_model = model;
+                            sp.spec.dj_uipp = dj;
+                            sp.spec.rj_uirms = rj;
+                            sp.spec.sj_uipp = sj;
+                            sp.spec.sj_freq_hz = 25e6;
+                            sp.initial_level = initial;
+                            sp.data_rate_offset = offset;
+                            sp.start = SimTime::ps(1234);
+                            const std::uint64_t seed = 100 + cases++;
+                            Rng a(seed), b(seed);
+                            // Start mid-pair: a cached deviate goes first.
+                            (void)a.gaussian();
+                            (void)b.gaussian();
+                            const auto got = jittered_edges(bits, sp, a);
+                            const auto want = reference_edges(bits, sp, b);
+                            ASSERT_EQ(got.size(), want.size());
+                            for (std::size_t k = 0; k < got.size(); ++k) {
+                                ASSERT_EQ(got[k].time, want[k].time)
+                                    << "case " << cases << " edge " << k;
+                                ASSERT_EQ(got[k].value, want[k].value)
+                                    << "case " << cases << " edge " << k;
+                            }
+                            // Same generator state, cached deviate included.
+                            EXPECT_EQ(a.gaussian(), b.gaussian());
+                            EXPECT_EQ(a.generator()(), b.generator()());
+                        }
+                    }
+                }
+            }
+        }
+    }
+    // No transitions at all: nothing drawn, nothing emitted.
+    for (const bool initial : {false, true}) {
+        StreamParams sp;
+        sp.initial_level = initial;
+        Rng a(5), b(5);
+        const std::vector<bool> flat(64, initial);
+        EXPECT_TRUE(jittered_edges(flat, sp, a).empty());
+        EXPECT_TRUE(jittered_edges({}, sp, a).empty());
+        EXPECT_EQ(a.generator()(), b.generator()());
     }
 }
 

@@ -510,23 +510,29 @@ TEST(ScenarioGoldens, BaselineJtolPayloadIsPinned) {
 
 // The other committed scenarios: a PRBS-only netlist run, a health probe
 // with an off-rate source, and the differential cross-validation point.
+// They run on the batched lane kernel (netlist_run, health_probe) and on
+// its behavioral MC oracle (differential), so these pins catch a kernel
+// change that moves one bit; each is checked at 1 and 4 pool lanes.
 
 TEST(ScenarioGoldens, MultilaneSmokePayloadIsPinned) {
     const ScenarioDoc doc = load_golden("multilane_smoke.json");
     EXPECT_EQ(util::hash_hex(scenario_hash(doc)), "f164c1350a22ac53");
     EXPECT_EQ(payload_digest(doc, 4), "593c9ed01c187325");
+    EXPECT_EQ(payload_digest(doc, 1), "593c9ed01c187325");
 }
 
 TEST(ScenarioGoldens, HealthSmokePayloadIsPinned) {
     const ScenarioDoc doc = load_golden("health_smoke.json");
     EXPECT_EQ(util::hash_hex(scenario_hash(doc)), "c013b394be268b91");
     EXPECT_EQ(payload_digest(doc, 4), "936c9f2f67e7937a");
+    EXPECT_EQ(payload_digest(doc, 1), "936c9f2f67e7937a");
 }
 
 TEST(ScenarioGoldens, XvalSj030PayloadIsPinned) {
     const ScenarioDoc doc = load_golden("xval_sj030.json");
     EXPECT_EQ(util::hash_hex(scenario_hash(doc)), "710e720f415b097f");
     EXPECT_EQ(payload_digest(doc, 4), "c47264b70242094a");
+    EXPECT_EQ(payload_digest(doc, 1), "c47264b70242094a");
 }
 
 // One document that sets every key to a non-default value and takes

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -21,6 +23,7 @@
 #include "cdr/elastic_buffer.hpp"
 #include "cdr/multichannel.hpp"
 #include "encoding/prbs.hpp"
+#include "exec/thread_pool.hpp"
 #include "mc/margin_model.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/trace_causal.hpp"
@@ -308,6 +311,82 @@ TEST(ElasticBuffer, FaultHookFiresOnOverflowAndUnderflow) {
               kinds.end());
 }
 
+/// Id of the first record of a dump's causal chain (0 when empty).
+std::uint64_t first_chain_id(const std::string& doc) {
+    const std::size_t chain = doc.find("\"causal_chain\"");
+    const std::size_t id = doc.find("\"id\":", chain);
+    if (chain == std::string::npos || id == std::string::npos ||
+        doc.find(']', chain) < id) {
+        return 0;
+    }
+    return std::stoull(doc.substr(id + 5));
+}
+
+/// Every ring name ("mc.lane<k>") a dump document mentions.
+std::set<std::string> lane_rings_in(const std::string& doc) {
+    std::set<std::string> names;
+    for (std::size_t at = doc.find("\"mc.lane"); at != std::string::npos;
+         at = doc.find("\"mc.lane", at + 1)) {
+        names.insert(doc.substr(at + 1, doc.find('"', at + 1) - at - 1));
+    }
+    return names;
+}
+
+// Pool lanes fault and dump while the other lanes keep appending to their
+// rings and free their tracers: each dump must walk its own ring and
+// tracer only (the asan and tsan legs run this).
+TEST(FlightRecorder, ConcurrentLaneDumpsReadOnlyTheirOwnRing) {
+    obs::FlightRecorder::Config cfg;
+    cfg.ring_capacity = 64;
+    cfg.dump_dir = fresh_dir("concurrent");
+    cfg.max_dumps = 64;
+    obs::FlightRecorder rec(cfg);
+    exec::ThreadPool pool(4);
+    constexpr std::size_t kItems = 16;
+    std::atomic<int> arrived{0};
+    std::vector<std::string> paths(kItems);
+    std::vector<std::string> lanes(kItems);
+    pool.parallel_for(kItems, [&](std::size_t item) {
+        lanes[item] =
+            "mc.lane" + std::to_string(exec::ThreadPool::lane_index());
+        obs::FlightRing& ring = rec.ring(lanes[item]);
+        auto tracer = std::make_unique<obs::CausalTracer>(256);
+        ring.set_tracer(tracer.get());
+        const auto base = static_cast<std::int64_t>(item) * 1000;
+        for (std::uint64_t id = 1; id <= 100; ++id) {
+            const std::int64_t t = base + static_cast<std::int64_t>(id);
+            tracer->on_schedule(id, id - 1, t);
+            ring.append(t, "tick", static_cast<double>(item), id);
+        }
+        // Hold the first lane here until a second one arrives, so at
+        // least two lanes reach their dumps together.
+        arrived.fetch_add(1);
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while (arrived.load() < 2 &&
+               std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::yield();
+        }
+        paths[item] = rec.dump_ring(ring, "lane_fault");
+        ring.set_tracer(nullptr);
+        tracer.reset();
+        for (int i = 0; i < 100; ++i) {
+            ring.append(base + 500 + i, "after", 0.0);
+        }
+    });
+    EXPECT_GE(arrived.load(), 2);
+    EXPECT_EQ(rec.triggers(), kItems);
+    for (std::size_t item = 0; item < kItems; ++item) {
+        ASSERT_FALSE(paths[item].empty()) << item;
+        const std::string doc = slurp(paths[item]);
+        EXPECT_EQ(lane_rings_in(doc), std::set<std::string>{lanes[item]})
+            << paths[item];
+        // The chain starts at this item's newest traced event.
+        EXPECT_EQ(first_chain_id(doc), 100u) << paths[item];
+        EXPECT_EQ(doc.find("\"after\""), std::string::npos) << paths[item];
+    }
+}
+
 // ---------------------------------------------------- end-to-end chains
 
 // The acceptance walk: a sampled bit's causal chain must reach back to a
@@ -434,6 +513,42 @@ TEST(FlightIntegration, MarginModelErrorLeavesLaneDump) {
     const auto doc = slurp(rec.dump_paths().front());
     EXPECT_NE(doc.find("mc_margin_error"), std::string::npos);
     EXPECT_NE(doc.find("mc.lane"), std::string::npos);
+}
+
+// The same hopeless point evaluated across four pool lanes: lanes dump
+// while the others are mid-evaluation or freeing their tracers.
+TEST(FlightIntegration, MarginModelErrorsDumpFromConcurrentLanes) {
+    obs::FlightRecorder::Config fcfg;
+    fcfg.ring_capacity = 256;
+    fcfg.dump_dir = fresh_dir("mc_pool");
+    fcfg.max_dumps = 1000;
+    obs::FlightRecorder rec(fcfg);
+
+    statmodel::ModelConfig cfg;
+    cfg.spec.sj_uipp = 0.6;
+    cfg.sj_freq_norm = 0.5;
+    cfg.freq_offset = 0.08;
+    auto bp = mc::BehavioralMarginModel::params_from(cfg);
+    bp.flight = &rec;
+    mc::BehavioralMarginModel model(bp);
+
+    exec::ThreadPool pool(4);
+    constexpr std::size_t kEvals = 64;
+    pool.parallel_for(kEvals, [&](std::size_t i) {
+        mc::RunSample s;
+        s.run_length = model.max_run_length();
+        s.u_dj = 0.999;
+        s.u_phase = 0.25;
+        s.z_edge = 2.0 * static_cast<double>(i % 5);
+        s.noise_seed = i + 1;
+        (void)model.margin_ui(s);
+    });
+    EXPECT_GE(rec.triggers(), 2u);
+    for (const std::string& path : rec.dump_paths()) {
+        const std::string doc = slurp(path);
+        EXPECT_EQ(lane_rings_in(doc).size(), 1u) << path;
+        EXPECT_NE(first_chain_id(doc), 0u) << path;
+    }
 }
 
 }  // namespace

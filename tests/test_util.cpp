@@ -7,14 +7,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <vector>
 
 #include "stats/grid_pdf.hpp"
+#include "util/fast_round.hpp"
 #include "util/fft.hpp"
 #include "util/mathx.hpp"
 #include "util/rng.hpp"
@@ -36,6 +39,59 @@ TEST(SimTime, FromSecondsRoundsToGrid) {
     EXPECT_EQ(SimTime::from_seconds(400e-12), SimTime::ps(400));
     EXPECT_EQ(SimTime::from_seconds(0.4e-15), SimTime::fs(0));
     EXPECT_EQ(SimTime::from_seconds(0.6e-15), SimTime::fs(1));
+}
+
+TEST(SimTime, FromSecondsKeepsLlroundOutsideTheFastRange) {
+    // Non-finite values and |s * 1e15| >= 2^62 take std::llround itself.
+    const double inf = std::numeric_limits<double>::infinity();
+    const double big = 0x1p62 / 1e15;
+    for (const double s :
+         {inf, -inf, std::numeric_limits<double>::quiet_NaN(), big,
+          -big, std::nextafter(big, 0.0), -std::nextafter(big, 0.0),
+          2.0 * big, -2.0 * big, 1e4, -1e4, 1e300, -1e300}) {
+        EXPECT_EQ(SimTime::from_seconds(s).femtoseconds(),
+                  static_cast<std::int64_t>(std::llround(s * 1e15)))
+            << s;
+    }
+}
+
+TEST(FastRound, MatchesLlroundBitForBit) {
+    std::vector<double> xs = {0.0, -0.0, 0.25, -0.25, 0x1p-1074, -0x1p-1074};
+    // Every half-way point k + 0.5 below 4096, both signs, and its two
+    // neighbours: round-half-to-even or a wrong comparison shows here.
+    for (int k = 0; k < 4096; ++k) {
+        const double h = k + 0.5;
+        for (const double x : {h, -h}) {
+            xs.push_back(x);
+            xs.push_back(std::nextafter(x, 0.0));
+            xs.push_back(std::nextafter(x, 2.0 * x));
+        }
+    }
+    // Around 2^52 (the last doubles with a fractional part) and just
+    // below 2^62 (the top of the range the function covers).
+    for (const double edge : {0x1p52, 0x1p53, std::nextafter(0x1p62, 0.0)}) {
+        double x = edge;
+        for (int i = 0; i < 8; ++i, x = std::nextafter(x, 0.0)) {
+            xs.push_back(x);
+            xs.push_back(-x);
+        }
+    }
+    for (const double x : {0x1p52 - 0.5, 0x1p52 - 1.5, 0x1p52 + 0.5}) {
+        xs.push_back(x);
+        xs.push_back(-x);
+    }
+    // Random magnitudes over the whole range, and fs-scale gate delays.
+    Rng rng(2718);
+    for (int i = 0; i < 100000; ++i) {
+        const double sign = rng.coin() ? 1.0 : -1.0;
+        xs.push_back(sign * std::ldexp(rng.uniform(), static_cast<int>(
+                                                          rng.index(62))));
+        xs.push_back(sign * rng.uniform(0.0, 1e6));
+    }
+    for (const double x : xs) {
+        ASSERT_EQ(util::llround_i64(x), std::llround(x))
+            << std::hexfloat << x;
+    }
 }
 
 TEST(SimTime, ArithmeticAndComparison) {
@@ -122,6 +178,36 @@ TEST(Rng, GaussianScaled) {
     const double mean = sum / n;
     EXPECT_NEAR(mean, 3.0, 0.01);
     EXPECT_NEAR(sum2 / n - mean * mean, 0.25, 0.01);
+}
+
+TEST(Rng, GaussiansEqualRepeatedGaussianCalls) {
+    // Sizes around the block generator's 128-pair (256-value) blocks,
+    // starting with and without a cached second deviate.
+    for (const bool cached : {false, true}) {
+        for (const std::size_t n :
+             {0u, 1u, 2u, 3u, 127u, 128u, 129u, 255u, 256u, 257u, 10000u}) {
+            Rng block(31 + n), single(31 + n);
+            if (cached) {
+                (void)block.gaussian();
+                (void)single.gaussian();
+            }
+            std::vector<double> got(n);
+            block.gaussians(got.data(), n);
+            for (std::size_t i = 0; i < n; ++i) {
+                ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                          std::bit_cast<std::uint64_t>(single.gaussian()))
+                    << "n=" << n << " cached=" << cached << " i=" << i;
+            }
+            // Both continue with the same stream: the same cached deviate
+            // (or none) and the same generator state.
+            for (int i = 0; i < 5; ++i) {
+                ASSERT_EQ(std::bit_cast<std::uint64_t>(block.gaussian()),
+                          std::bit_cast<std::uint64_t>(single.gaussian()))
+                    << "n=" << n << " cached=" << cached;
+            }
+            EXPECT_EQ(block.generator()(), single.generator()());
+        }
+    }
 }
 
 TEST(Rng, ArcsineBoundedWithHighEdgeDensity) {
