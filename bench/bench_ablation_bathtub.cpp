@@ -13,7 +13,8 @@
 
 using namespace gcdr;
 
-int main() {
+int main(int argc, char** argv) {
+    if (argc > 1) return bench::unknown_flag(argv[1]);  // takes no flags
     bench::header("Ablation", "sampling-phase bathtub curves");
 
     for (int cid : {5, 7}) {

@@ -64,7 +64,8 @@ const char* name_of(jitter::DjModel m) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+    if (argc > 1) return bench::unknown_flag(argv[1]);  // takes no flags
     bench::header("Ablation", "deterministic-jitter realization (0.4 UIpp)");
 
     for (double f_osc : {2.5e9, 2.45e9}) {

@@ -28,15 +28,11 @@
 //   --metrics-out FILE
 //                   write the final metrics snapshot in Prometheus text
 //                   exposition format (obs::to_prometheus)
-//   --ledger FILE   append one gcdr.bench.ledger/v1 record (full metrics
-//                   + build provenance) to FILE — the persistent run
-//                   history scripts/perf_history.py trends and gates on
 //   --scenario FILE declarative gcdr.scenario/v1 config; bench_scenario
 //                   compiles and runs it, and the file + canonical config
-//                   hash are recorded in the report's "run" object and
-//                   the ledger record
-// Unrecognized arguments are left in argv for the bench (so
-// bench_kernel_perf can forward --benchmark_* flags to google-benchmark).
+//                   hash are recorded in the report's "run" object
+// Unrecognized arguments are left in argv for the bench's own flags; an
+// argument that neither reads ends the run through unknown_flag().
 // Both --threads and --seed are recorded in the report's "run" object.
 
 #include <chrono>
@@ -50,7 +46,6 @@
 
 #include "exec/thread_pool.hpp"
 #include "obs/flight_recorder.hpp"
-#include "obs/ledger.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/process_stats.hpp"
@@ -77,8 +72,6 @@ struct Options {
     bool flight_recorder = false;
     /// Prometheus text-exposition output path; empty = not requested.
     std::string metrics_out_path;
-    /// Run-ledger path to append to; empty = not requested.
-    std::string ledger_path;
     /// JSONL log-sink path; empty = stderr text only.
     std::string log_json_path;
     /// Live progress reporting (obs::ProgressReporter); default off.
@@ -118,9 +111,6 @@ struct Options {
             } else if (std::strcmp(argv[i], "--metrics-out") == 0 &&
                        i + 1 < argc) {
                 opts.metrics_out_path = argv[++i];
-            } else if (std::strcmp(argv[i], "--ledger") == 0 &&
-                       i + 1 < argc) {
-                opts.ledger_path = argv[++i];
             } else if (std::strcmp(argv[i], "--log-json") == 0 &&
                        i + 1 < argc) {
                 opts.log_json_path = argv[++i];
@@ -198,8 +188,7 @@ public:
     }
 
     /// Record a gcdr.health/v1 snapshot (a scenario's health_probe task
-    /// produces it); write() embeds it as the report's / ledger record's
-    /// "health" block.
+    /// produces it); write() embeds it as the report's "health" block.
     void set_health_json(std::string json) {
         health_json_ = std::move(json);
     }
@@ -217,15 +206,10 @@ public:
         return *pool_;
     }
 
-    /// Canonical workload-defining flag string for the run ledger
-    /// ("--deep --channels 4"). Benches with no workload flags can skip
-    /// this; the key then distinguishes runs by seed/threads/build only.
-    void set_config(std::string config) { config_ = std::move(config); }
-
     /// Record scenario provenance (--scenario runs): the config file and
     /// the hex fnv1a64 of its canonical resolved JSON. Lands in the
-    /// report's "run" object and the ledger record, so a scenario run is
-    /// traceable to the exact document content, not just a path.
+    /// report's "run" object, so a scenario run is traceable to the
+    /// exact document content, not just a path.
     void set_scenario(std::string file, std::string hash_hex) {
         scenario_file_ = std::move(file);
         scenario_hash_ = std::move(hash_hex);
@@ -247,8 +231,7 @@ public:
                             opts_.trace_path.c_str());
             }
         }
-        if (opts_.json_path.empty() && opts_.metrics_out_path.empty() &&
-            opts_.ledger_path.empty()) {
+        if (opts_.json_path.empty() && opts_.metrics_out_path.empty()) {
             return ok;
         }
         // Peak/current RSS gauges ride along in every exported snapshot.
@@ -284,20 +267,6 @@ public:
                             opts_.metrics_out_path.c_str());
             }
         }
-        if (!opts_.ledger_path.empty()) {
-            obs::LedgerKey key;
-            key.bench = id_;
-            key.config = config_;
-            key.seed = opts_.seed;
-            key.threads = info.threads;
-            ok = obs::ledger_append(opts_.ledger_path, key, registry_,
-                                    info) &&
-                 ok;
-            if (ok && !opts_.quiet) {
-                std::printf("[ledger record appended to %s]\n",
-                            opts_.ledger_path.c_str());
-            }
-        }
         return ok;
     }
 
@@ -305,7 +274,6 @@ private:
     Options opts_;
     std::string id_;
     std::string title_;
-    std::string config_;
     std::string scenario_file_;
     std::string scenario_hash_;
     obs::MetricsRegistry registry_;
@@ -315,6 +283,14 @@ private:
     std::unique_ptr<obs::TraceSpan> run_span_;
     std::chrono::steady_clock::time_point t0_;
 };
+
+/// Exit status for an argument that neither Options::parse nor the bench
+/// reads: a typo or a retired flag must not run a different workload
+/// than the one asked for.
+inline int unknown_flag(const char* arg) {
+    std::fprintf(stderr, "unknown flag: %s\n", arg);
+    return 2;
+}
 
 inline void header(const std::string& id, const std::string& title) {
     std::printf("==================================================================\n");

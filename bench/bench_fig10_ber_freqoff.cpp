@@ -17,6 +17,7 @@ using namespace gcdr;
 
 int main(int argc, char** argv) {
     const auto opts = bench::Options::parse(argc, argv);
+    if (argc > 1) return bench::unknown_flag(argv[1]);
     bench::RunReport report(opts, "fig10_ber_freqoff",
                             "BER with 1% frequency offset (mid-bit sampling)");
     auto& reg = report.metrics();

@@ -14,7 +14,8 @@
 
 using namespace gcdr;
 
-int main() {
+int main(int argc, char** argv) {
+    if (argc > 1) return bench::unknown_flag(argv[1]);  // takes no flags
     bench::header("Fig 11", "phase noise (kappa) vs power trade-off");
 
     noise::RingOscParams proto;

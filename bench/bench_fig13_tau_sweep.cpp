@@ -65,6 +65,7 @@ TauResult run_tau(double tau_ui, double f_osc, std::uint64_t seed) {
 
 int main(int argc, char** argv) {
     const auto opts = bench::Options::parse(argc, argv);
+    if (argc > 1) return bench::unknown_flag(argv[1]);
     bench::RunReport report(opts, "fig13_tau_sweep",
                             "edge-detector delay (tau) reliability sweep");
     auto& reg = report.metrics();

@@ -10,7 +10,8 @@
 
 using namespace gcdr;
 
-int main() {
+int main(int argc, char** argv) {
+    if (argc > 1) return bench::unknown_flag(argv[1]);  // takes no flags
     bench::header("Fig 14",
                   "behavioral eye, base topology (mid-bit sampling)");
     const auto run = bench::run_fig14_conditions(/*improved=*/false);

@@ -9,7 +9,8 @@
 
 using namespace gcdr;
 
-int main() {
+int main(int argc, char** argv) {
+    if (argc > 1) return bench::unknown_flag(argv[1]);  // takes no flags
     bench::header("Fig 16",
                   "behavioral eye, improved topology (T/8 advanced clock)");
     const auto improved = bench::run_fig14_conditions(/*improved=*/true);

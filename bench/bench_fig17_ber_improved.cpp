@@ -19,6 +19,7 @@ using namespace gcdr;
 
 int main(int argc, char** argv) {
     const auto opts = bench::Options::parse(argc, argv);
+    if (argc > 1) return bench::unknown_flag(argv[1]);
     bench::RunReport report(opts, "fig17_ber_improved",
                             "BER with 1% offset, improved sampling point");
     auto& reg = report.metrics();

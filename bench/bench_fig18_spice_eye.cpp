@@ -17,7 +17,8 @@
 
 using namespace gcdr;
 
-int main() {
+int main(int argc, char** argv) {
+    if (argc > 1) return bench::unknown_flag(argv[1]);  // takes no flags
     bench::header("Fig 18", "transistor-level (SPICE-lite) eye diagram");
 
     analog::Circuit ckt;

@@ -10,7 +10,8 @@
 
 using namespace gcdr;
 
-int main() {
+int main(int argc, char** argv) {
+    if (argc > 1) return bench::unknown_flag(argv[1]);  // takes no flags
     bench::header("Fig 5", "InfiniBand 2.5 Gb/s RX jitter tolerance mask");
 
     const auto mask = masks::JtolMask::infiniband_2g5();

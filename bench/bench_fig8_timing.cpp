@@ -18,7 +18,8 @@
 
 using namespace gcdr;
 
-int main() {
+int main(int argc, char** argv) {
+    if (argc > 1) return bench::unknown_flag(argv[1]);  // takes no flags
     bench::header("Fig 8", "timing diagram of the gated oscillator");
 
     sim::Scheduler sched;

@@ -46,6 +46,7 @@ struct OffsetBer {
 
 int main(int argc, char** argv) {
     const auto opts = bench::Options::parse(argc, argv);
+    if (argc > 1) return bench::unknown_flag(argv[1]);
     bench::RunReport report(opts, "ftol_scan",
                             "frequency tolerance, statistical vs behavioral");
     auto& reg = report.metrics();

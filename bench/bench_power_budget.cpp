@@ -12,7 +12,8 @@
 
 using namespace gcdr;
 
-int main() {
+int main(int argc, char** argv) {
+    if (argc > 1) return bench::unknown_flag(argv[1]);  // takes no flags
     bench::header("Power budget", "the <= 5 mW/Gbit/s claim");
 
     noise::RingOscParams proto;

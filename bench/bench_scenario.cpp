@@ -160,13 +160,16 @@ int main(int argc, char** argv) {
     bool have_fuzz_seed = false;
     std::uint64_t fuzz_seed = 0;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--check") == 0) check = true;
-        if (std::strcmp(argv[i], "--print-resolved") == 0) {
+        if (std::strcmp(argv[i], "--check") == 0) {
+            check = true;
+        } else if (std::strcmp(argv[i], "--print-resolved") == 0) {
             print_resolved = true;
-        }
-        if (std::strcmp(argv[i], "--fuzz-seed") == 0 && i + 1 < argc) {
+        } else if (std::strcmp(argv[i], "--fuzz-seed") == 0 &&
+                   i + 1 < argc) {
             have_fuzz_seed = true;
             fuzz_seed = std::strtoull(argv[++i], nullptr, 10);
+        } else {
+            return bench::unknown_flag(argv[i]);
         }
     }
     if (opts.scenario_path.empty() && !have_fuzz_seed) {
@@ -205,9 +208,6 @@ int main(int argc, char** argv) {
                             doc.title.empty() ? "declarative scenario run"
                                               : doc.title);
     report.set_scenario(source_name, hash_hex);
-    // Workload identity for ledger trend keys: the scenario name + config
-    // hash, so two runs of a changed file never share a key.
-    report.set_config("--scenario " + doc.name + "#" + hash_hex);
     auto& reg = report.metrics();
     auto& pool = report.pool();
     if (!opts.quiet) {
@@ -229,8 +229,8 @@ int main(int argc, char** argv) {
     const scenario::ScenarioResult result =
         scenario::run_scenario(doc, ctx);
     for (const auto& t : result.tasks) {
-        // A health_probe task's final snapshot becomes the report's (and
-        // ledger record's) "health" block.
+        // A health_probe task's final snapshot becomes the report's
+        // "health" block.
         if (!t.health_json.empty()) report.set_health_json(t.health_json);
     }
 

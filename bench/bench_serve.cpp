@@ -187,13 +187,11 @@ int main(int argc, char** argv) {
         } else if (std::strcmp(argv[i], "--check") == 0) {
             check = true;
         } else {
-            std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
-            return 2;
+            return gcdr::bench::unknown_flag(argv[i]);
         }
     }
     RunReport report(opts, "serve",
                      "Serving daemon: mixed workload, cache-hit replay");
-    report.set_config("--specs " + std::to_string(n_specs));
     if (!opts.quiet) {
         gcdr::bench::header("bench_serve",
                             "simulation-as-a-service load generator");

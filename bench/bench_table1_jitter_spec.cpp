@@ -43,7 +43,8 @@ EdgeStats measure(const jitter::StreamParams& params, std::size_t n_bits,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+    if (argc > 1) return bench::unknown_flag(argv[1]);  // takes no flags
     bench::header("Table 1", "jitter specifications for simulations");
     const auto spec = jitter::JitterSpec::paper_table1();
 

@@ -81,6 +81,7 @@ double median(std::vector<double> v) {
 
 int main(int argc, char** argv) {
     const auto opts = bench::Options::parse(argc, argv);
+    if (argc > 1) return bench::unknown_flag(argv[1]);
     bench::RunReport report(
         opts, "trace_overhead",
         "Causal-tracing overhead on the behavioral CDR event kernel");

@@ -95,28 +95,23 @@ int main(int argc, char** argv) {
     bool batch = false;
     std::size_t channels = 8;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--check") == 0) check = true;
-        if (std::strcmp(argv[i], "--deep") == 0) deep = true;
-        if (std::strcmp(argv[i], "--batch") == 0) batch = true;
-        if (std::strcmp(argv[i], "--channels") == 0 && i + 1 < argc) {
+        if (std::strcmp(argv[i], "--check") == 0) {
+            check = true;
+        } else if (std::strcmp(argv[i], "--deep") == 0) {
+            deep = true;
+        } else if (std::strcmp(argv[i], "--batch") == 0) {
+            batch = true;
+        } else if (std::strcmp(argv[i], "--channels") == 0 &&
+                   i + 1 < argc) {
             channels = static_cast<std::size_t>(
                 std::strtoull(argv[++i], nullptr, 10));
+        } else {
+            return bench::unknown_flag(argv[i]);
         }
     }
     bench::RunReport report(
         opts, "xval_ber",
         "Rare-event MC cross-validation: statmodel vs IS vs splitting");
-    {
-        // Workload-defining flags, so ledger records from batched and
-        // scalar-oracle runs never silently share a trend key.
-        std::string config;
-        if (deep) config += "--deep";
-        if (batch) {
-            config += config.empty() ? "" : " ";
-            config += "--batch --channels " + std::to_string(channels);
-        }
-        report.set_config(config);
-    }
     auto& reg = report.metrics();
     auto& pool = report.pool();
     if (!opts.quiet) {

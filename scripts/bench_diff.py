@@ -24,12 +24,11 @@ bit-identical across kernel changes).
 
 --min-cross-ratio CAND_METRIC/BASE_METRIC=X compares *different* metrics
 across the two reports: candidate[CAND_METRIC] / baseline[BASE_METRIC]
-must be >= X. This is the speedup-gate shape — e.g. the batched 16-channel
-kernel against the committed scalar event-kernel baseline:
-    --min-cross-ratio \\
-      kernel_perf.batch.ch16.events_per_s/kernel_perf.cdr_events_per_s=4.0
-Pass the same report on both sides to gate a same-run ratio (machine
-speed cancels exactly).
+must be >= X. This is the speedup-gate shape. Pass the same report on
+both sides to gate a same-run ratio (machine speed cancels exactly), e.g.
+the batched 16-channel kernel against the scalar kernel on the same lanes:
+    bench_diff.py R.json R.json --min-cross-ratio \\
+      kernel_perf.batch.ch16.events_per_s/kernel_perf.scalar.ch16.events_per_s=4.0
 
 A metric present in only one report fails the comparison with a per-key
 message naming the report it is missing from (a renamed or dropped metric

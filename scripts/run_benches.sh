@@ -1,10 +1,8 @@
 #!/usr/bin/env bash
 # Run every bench with telemetry enabled and collect the JSON run reports
-# under bench/reports/BENCH_<id>.json. These are the repo's perf-trajectory
-# artifacts (schema: gcdr.bench.report/v1, see DESIGN.md "Telemetry").
-# Every run also appends one gcdr.bench.ledger/v1 record to
-# bench/reports/ledger.jsonl — the persistent history that
-# scripts/perf_history.py trends and gates on.
+# under bench/reports/BENCH_<id>.json (schema: gcdr.bench.report/v1, see
+# DESIGN.md "Telemetry"). Perf comparisons belong to bench/e2e; these
+# reports are for counter checks (scripts/bench_diff.py).
 #
 # Usage:
 #   scripts/run_benches.sh [build-dir] [reports-dir] [threads]
@@ -24,13 +22,12 @@ build_dir="${1:-$repo_root/build}"
 reports_dir="${2:-$repo_root/bench/reports}"
 threads="${3:-${GCDR_BENCH_THREADS:-1}}"
 
-# Stamp every ledger record with the sha actually checked out; the
+# Stamp every report with the sha actually checked out; the
 # compile-time fallback can be stale after an incremental rebuild.
 if [[ -z "${GCDR_GIT_SHA:-}" ]]; then
     GCDR_GIT_SHA="$(git -C "$repo_root" rev-parse HEAD 2>/dev/null || echo unknown)"
     export GCDR_GIT_SHA
 fi
-ledger="$reports_dir/ledger.jsonl"
 
 if [[ ! -f "$build_dir/CMakeCache.txt" ]]; then
     cmake -B "$build_dir" -S "$repo_root"
@@ -62,25 +59,21 @@ for id in "${benches[@]}"; do
     fi
     out="$reports_dir/BENCH_$id.json"
     echo "== bench_$id -> $out (threads=$threads)"
-    if ! "$bin" --quiet --json "$out" --threads "$threads" \
-            --ledger "$ledger"; then
+    if ! "$bin" --quiet --json "$out" --threads "$threads"; then
         echo "FAILED: bench_$id" >&2
         failed=1
     fi
 done
 
-# The batched-oracle cross-validation rides the same ledger under its
-# own config key ("--batch --channels 8" via RunReport::set_config), so
-# perf_history.py trends the batched margin path separately from the
-# scalar oracle. Counters are bit-identical to the scalar run by the
-# lane-identity contract (CI diffs them); only the throughput gauges
-# differ.
+# The batched-oracle cross-validation gets its own report. Counters are
+# bit-identical to the scalar run by the lane-identity contract (CI
+# diffs them); only the throughput gauges differ.
 bin="$build_dir/bench/bench_xval_ber"
 if [[ -x "$bin" ]]; then
     out="$reports_dir/BENCH_xval_ber_batch.json"
     echo "== bench_xval_ber --batch -> $out (threads=$threads)"
     if ! "$bin" --quiet --json "$out" --threads "$threads" \
-            --batch --channels 8 --ledger "$ledger"; then
+            --batch --channels 8; then
         echo "FAILED: bench_xval_ber --batch" >&2
         failed=1
     fi
@@ -89,10 +82,8 @@ fi
 # Declarative scenarios: every committed config under scenarios/ runs
 # through bench_scenario with the same telemetry plumbing (Fig 8, Fig 9
 # and the architecture comparison exist only as scenarios). Reports land
-# as BENCH_scenario_<name>.json and the ledger records carry the
-# scenario file + canonical config hash, so perf_history.py trends each
-# scenario under its own "--scenario <name>#<hash>" config key and a
-# changed file never pollutes its predecessor's series.
+# as BENCH_scenario_<name>.json and carry the scenario file + canonical
+# config hash in their "run" object.
 scenarios_dir="$repo_root/scenarios"
 bin="$build_dir/bench/bench_scenario"
 if [[ -x "$bin" && -d "$scenarios_dir" ]]; then
@@ -102,31 +93,14 @@ if [[ -x "$bin" && -d "$scenarios_dir" ]]; then
         out="$reports_dir/BENCH_scenario_$name.json"
         echo "== bench_scenario $name -> $out (threads=$threads)"
         if ! "$bin" --scenario "$scn" --check --quiet --json "$out" \
-                --threads "$threads" --ledger "$ledger"; then
+                --threads "$threads"; then
             echo "FAILED: bench_scenario $name" >&2
             failed=1
         fi
     done
 fi
 
-# The perf-gate baselines live at the repo root as well, so a perf PR
-# diff (scripts/bench_diff.py) can reference them without digging into
-# bench/reports/. Keep the two copies identical.
-for id in kernel_perf trace_overhead serve; do
-    if [[ -f "$reports_dir/BENCH_$id.json" ]]; then
-        cp "$reports_dir/BENCH_$id.json" "$repo_root/BENCH_$id.json"
-        echo "canonical copy: BENCH_$id.json -> $repo_root"
-    fi
-done
-
 echo
 echo "reports in $reports_dir:"
 ls -l "$reports_dir"
-
-# Trend table over the accumulated run history (informational here; CI
-# gates with --check on a same-runner ledger).
-if [[ -f "$ledger" ]]; then
-    echo
-    python3 "$repo_root/scripts/perf_history.py" "$ledger" || true
-fi
 exit "$failed"

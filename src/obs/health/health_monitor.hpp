@@ -30,7 +30,7 @@
 //   - a composite health score in [0, 1].
 //
 // Snapshots serialize as gcdr.health/v1 — the same bytes land in run
-// reports, the ledger, and the daemon's /v1/health and /v1/watch frames.
+// reports and the daemon's /v1/health and /v1/watch frames.
 
 #include <cstddef>
 #include <cstdint>

@@ -13,7 +13,7 @@ namespace gcdr::obs {
 
 class JsonWriter {
 public:
-    /// Pass as `indent` for single-line output (JSONL records, ledger
+    /// Pass as `indent` for single-line output (JSONL records, cache
     /// lines): no newlines or indentation are emitted at all.
     static constexpr int kCompact = -1;
 

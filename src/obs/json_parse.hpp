@@ -1,7 +1,7 @@
 #pragma once
 // Minimal recursive-descent JSON parser — the read side of obs/json.hpp.
-// Consumers: the run-ledger reload path (obs/ledger.hpp) and, per the
-// roadmap, the simulation-as-a-service daemon's request decoding. Scope
+// Consumers: the serving daemon's request decoding and cache reload, and
+// the scenario loader. Scope
 // is deliberately small: full JSON values (RFC 8259), UTF-8 passed
 // through verbatim, \uXXXX escapes decoded (surrogate pairs included),
 // objects preserve key order and keep duplicate keys (find() returns the

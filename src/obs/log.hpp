@@ -47,7 +47,7 @@ enum class LogLevel : int {
 [[nodiscard]] const char* log_level_name(LogLevel level);
 
 /// RFC-3339 UTC timestamp ("2026-08-07T12:00:00Z"), second resolution —
-/// shared by the log sinks and the run ledger.
+/// the log sinks' record stamp.
 [[nodiscard]] std::string format_utc_rfc3339(
     std::chrono::system_clock::time_point tp);
 

@@ -1,10 +1,10 @@
 #pragma once
 // Run-report emitter: one JSON document per bench/example run capturing
-// the metrics snapshot, total wall time and build provenance. These are
-// the repo's perf-trajectory artifacts — scripts/run_benches.sh collects
-// them under bench/reports/BENCH_<id>.json and future performance PRs
-// diff against the committed baselines. Schema documented in DESIGN.md
-// ("Telemetry" section); bump kReportSchema on breaking changes.
+// the metrics snapshot, total wall time and build provenance.
+// scripts/run_benches.sh collects them under bench/reports/BENCH_<id>.json;
+// CI holds fresh reports' counters identical to the committed baselines
+// there. Schema documented in DESIGN.md ("Telemetry" section); bump
+// kReportSchema on breaking changes.
 
 #include <cstddef>
 #include <cstdint>
@@ -44,7 +44,7 @@ struct ReportInfo {
     std::uint64_t seed = 0;
     /// Scenario provenance (bench --scenario): the config file the run
     /// was compiled from and the fnv1a64 of its canonical resolved JSON.
-    /// Both ride in the "run" object (and the ledger record) when set, so
+    /// Both ride in the "run" object when set, so
     /// a report traces back to the exact declarative config — not just
     /// the file path, whose contents may have changed since.
     std::string scenario_file;

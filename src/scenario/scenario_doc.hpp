@@ -41,7 +41,7 @@
 // sorted, obs/canonical number rendering, netlist instances and wires in
 // name order). It is a fixed point — resolved_json(load(resolved_json(d)))
 // is byte-identical — and its fnv1a64 is the scenario's config hash used
-// by the bench ledger and the serving daemon's cache keys.
+// by bench reports and the serving daemon's cache keys.
 
 #include <cstdint>
 #include <span>

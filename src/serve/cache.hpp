@@ -18,8 +18,8 @@
 // payloads are deterministic functions of the key).
 //
 // Persistence: append-only JSONL segments (gcdr.serve.cache/v1), one
-// record per store, reloaded through obs::json_parse with the ledger's
-// tolerance — blank/truncated/foreign lines are counted and skipped, a
+// record per store, reloaded through obs::json_parse with a tolerant
+// reader — blank/truncated/foreign lines are counted and skipped, a
 // crash mid-append never poisons the store, and segments from different
 // daemons merge with `cat`. Duplicate keys on reload: last writer wins
 // (a later record can only be a re-computation of the same content).

@@ -1,11 +1,11 @@
 #pragma once
 // Stable, dependency-free content hashing shared by every subsystem that
-// keys persistent state on bytes: the run ledger (obs/ledger) keys
-// records by fnv1a64(canonical flag string), and the serving layer
-// (serve/cache) keys memoized results by fnv1a64(canonical config JSON).
-// FNV-1a is deliberately simple — the offset basis and prime are part of
-// the on-disk format, so the constants here must never change (committed
-// ledgers and cache segments would silently stop matching).
+// keys state on bytes: the serving layer (serve/cache) keys memoized
+// results by fnv1a64(canonical config JSON), and scenarios record the
+// same hash of their canonical form. FNV-1a is deliberately simple — the
+// offset basis and prime are part of the on-disk format, so the
+// constants here must never change (cache segments would silently stop
+// matching).
 
 #include <cstdint>
 #include <cstdio>

@@ -1,13 +1,15 @@
 // Unit tests for the telemetry subsystem (obs/): counter/gauge/histogram
 // semantics, JSON export well-formedness and round-trip of expected keys,
-// the bench run-report document, and instrumented components reporting
-// exact tallies (Scheduler event counts, Tracer sample cap).
+// the bench run-report document with its build provenance and process RSS
+// gauges, and instrumented components reporting exact tallies (Scheduler
+// event counts, Tracer sample cap).
 
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -19,6 +21,7 @@
 
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/process_stats.hpp"
 #include "obs/report.hpp"
 #include "obs/sharded.hpp"
 #include "sim/scheduler.hpp"
@@ -521,6 +524,29 @@ TEST(Report, DocumentSchemaAndWrite) {
     std::filesystem::remove(path);
     // Unwritable path is a soft failure (returns false, no throw).
     EXPECT_FALSE(write_run_report("/nonexistent-dir/x/y.json", reg, info));
+}
+
+TEST(BuildInfo, GitShaEnvOverridesCompiledDefault) {
+    ::setenv("GCDR_GIT_SHA", "feedc0de", 1);
+    EXPECT_EQ(BuildInfo::current().git_sha, "feedc0de");
+    ::unsetenv("GCDR_GIT_SHA");
+    EXPECT_FALSE(BuildInfo::current().git_sha.empty());
+}
+
+TEST(ProcessStats, RssIsPositiveOnLinux) {
+    // A running process occupies memory; both probes must return > 0 on
+    // any platform the repo supports (Linux /proc or rusage fallback).
+    EXPECT_GT(process_peak_rss_bytes(), 0u);
+    EXPECT_GT(process_current_rss_bytes(), 0u);
+    EXPECT_GE(process_peak_rss_bytes(), process_current_rss_bytes() / 2);
+}
+
+TEST(ProcessStats, RecordSetsGauges) {
+    MetricsRegistry reg;
+    record_process_stats(reg);
+    EXPECT_TRUE(reg.gauge("process.peak_rss_bytes").has_value());
+    EXPECT_GT(reg.gauge("process.peak_rss_bytes").value(), 0.0);
+    EXPECT_TRUE(reg.gauge("process.current_rss_bytes").has_value());
 }
 
 // ---------------------------------------------------------------------------

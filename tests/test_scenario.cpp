@@ -437,7 +437,7 @@ TEST(ScenarioGoldens, CommittedScenariosLoadAndRoundTrip) {
             << (diags.empty() ? "unreadable" : diags[0].render());
         // Canonical fixed point: reloading the resolved form reproduces
         // it byte for byte (this is what makes scenario_hash a stable
-        // cache/ledger key).
+        // cache key).
         const std::string r1 = resolved_json(doc);
         ScenarioDoc doc2;
         ASSERT_TRUE(scenario_from_string(r1, doc2, diags, path))

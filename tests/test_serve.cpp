@@ -18,7 +18,6 @@
 #include "exec/thread_pool.hpp"
 #include "obs/canonical.hpp"
 #include "obs/json_parse.hpp"
-#include "obs/ledger.hpp"
 #include "obs/log.hpp"
 #include "serve/cache.hpp"
 #include "serve/executor.hpp"
@@ -35,7 +34,7 @@ namespace {
 
 TEST(UtilHash, Fnv1a64KnownVectors) {
     // Official FNV-1a test vectors; these constants are part of the
-    // on-disk format of both the run ledger and the cache segments.
+    // cache segments' on-disk format.
     EXPECT_EQ(util::fnv1a64(""), 0xcbf29ce484222325ull);
     EXPECT_EQ(util::fnv1a64("a"), 0xaf63dc4c8601ec8cull);
     EXPECT_EQ(util::fnv1a64("foobar"), 0x85944171f73967e8ull);
@@ -85,11 +84,6 @@ TEST(UtilHash, NoCollisionAcrossConfigCorpus) {
     std::sort(hashes.begin(), hashes.end());
     EXPECT_EQ(std::adjacent_find(hashes.begin(), hashes.end()),
               hashes.end());
-}
-
-TEST(ObsLedgerForwarder, MatchesUtilHash) {
-    EXPECT_EQ(obs::fnv1a64("--deep --channels 4"),
-              util::fnv1a64("--deep --channels 4"));
 }
 
 // --- canonical JSON ------------------------------------------------------
