@@ -6,9 +6,10 @@
 //   --json <path>   write a BENCH report (obs::write_run_report schema,
 //                   see DESIGN.md "Telemetry") with the run's metrics
 //   --quiet         suppress the human-readable tables; telemetry only
-//   --threads N     sweep concurrency: lanes of the bench's ThreadPool
-//                   (0 or omitted flag value semantics below); sweep
-//                   results are bit-identical for every N by design
+//   --threads N     sweep concurrency: lanes of the bench's ThreadPool,
+//                   N <= util::kMaxThreadCount (0 = one per hardware
+//                   thread); sweep results are bit-identical for every
+//                   N by design
 //   --seed S        base seed all sweep points derive from
 //   --trace FILE    enable span profiling (obs::SpanCollector::global())
 //                   and write a Chrome trace_event JSON to FILE at the
@@ -32,7 +33,9 @@
 //                   compiles and runs it, and the file + canonical config
 //                   hash are recorded in the report's "run" object
 // Unrecognized arguments are left in argv for the bench's own flags; an
-// argument that neither reads ends the run through unknown_flag().
+// argument that neither reads ends the run through unknown_flag(). Every
+// integer flag value goes through uint_flag(): a missing, non-decimal or
+// out-of-range value exits 2 naming the flag.
 // Both --threads and --seed are recorded in the report's "run" object.
 
 #include <chrono>
@@ -40,6 +43,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -53,8 +57,28 @@
 #include "obs/prometheus.hpp"
 #include "obs/report.hpp"
 #include "obs/trace_span.hpp"
+#include "util/parse_uint.hpp"
 
 namespace gcdr::bench {
+
+/// The value of the flag at argv[i] as a decimal integer in [0, max]
+/// (util::parse_uint), advancing i past it. A missing or bad value ends
+/// the run with exit 2 and a message naming the flag, before the bench
+/// has built anything (no pool, no thread).
+inline std::uint64_t uint_flag(
+    int argc, char** argv, int& i,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
+    const char* flag = argv[i];
+    if (i + 1 >= argc) {
+        std::fprintf(stderr, "%s: missing value\n", flag);
+        std::exit(2);
+    }
+    const char* text = argv[++i];
+    if (const auto value = util::parse_uint(text, max)) return *value;
+    std::fprintf(stderr, "%s: want an integer in [0, %llu], got '%s'\n",
+                 flag, static_cast<unsigned long long>(max), text);
+    std::exit(2);
+}
 
 struct Options {
     std::string json_path;  ///< empty: no report requested
@@ -93,14 +117,11 @@ struct Options {
             } else if (std::strcmp(argv[i], "--json") == 0 &&
                        i + 1 < argc) {
                 opts.json_path = argv[++i];
-            } else if (std::strcmp(argv[i], "--threads") == 0 &&
-                       i + 1 < argc) {
+            } else if (std::strcmp(argv[i], "--threads") == 0) {
                 opts.threads = static_cast<std::size_t>(
-                    std::strtoull(argv[++i], nullptr, 10));
-            } else if (std::strcmp(argv[i], "--seed") == 0 &&
-                       i + 1 < argc) {
-                opts.seed =
-                    std::strtoull(argv[++i], nullptr, 10);
+                    uint_flag(argc, argv, i, util::kMaxThreadCount));
+            } else if (std::strcmp(argv[i], "--seed") == 0) {
+                opts.seed = uint_flag(argc, argv, i);
             } else if (std::strcmp(argv[i], "--trace") == 0 &&
                        i + 1 < argc) {
                 opts.trace_path = argv[++i];

@@ -164,10 +164,9 @@ int main(int argc, char** argv) {
             check = true;
         } else if (std::strcmp(argv[i], "--print-resolved") == 0) {
             print_resolved = true;
-        } else if (std::strcmp(argv[i], "--fuzz-seed") == 0 &&
-                   i + 1 < argc) {
+        } else if (std::strcmp(argv[i], "--fuzz-seed") == 0) {
             have_fuzz_seed = true;
-            fuzz_seed = std::strtoull(argv[++i], nullptr, 10);
+            fuzz_seed = bench::uint_flag(argc, argv, i);
         } else {
             return bench::unknown_flag(argv[i]);
         }

@@ -29,7 +29,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -38,6 +40,7 @@
 #include "serve/http.hpp"
 #include "serve/server.hpp"
 #include "util/hash.hpp"
+#include "util/parse_uint.hpp"
 
 namespace {
 
@@ -176,14 +179,27 @@ double percentile(std::vector<double> v, double p) {
 
 int main(int argc, char** argv) {
     Options opts = Options::parse(argc, argv);
-    std::string connect;
+    std::string host = "127.0.0.1";
+    std::uint16_t port = 0;  ///< 0: host the daemon in-process
     std::size_t n_specs = 3;
     bool check = false;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--connect") == 0 && i + 1 < argc) {
-            connect = argv[++i];
-        } else if (std::strcmp(argv[i], "--specs") == 0 && i + 1 < argc) {
-            n_specs = std::strtoull(argv[++i], nullptr, 10);
+            const std::string_view connect = argv[++i];
+            const std::size_t colon = connect.rfind(':');
+            const auto port_value =
+                colon == std::string_view::npos
+                    ? std::nullopt
+                    : gcdr::util::parse_uint(connect.substr(colon + 1),
+                                             65535);
+            if (!port_value || *port_value == 0) {
+                std::fprintf(stderr, "--connect wants HOST:PORT\n");
+                return 2;
+            }
+            host = connect.substr(0, colon);
+            port = static_cast<std::uint16_t>(*port_value);
+        } else if (std::strcmp(argv[i], "--specs") == 0) {
+            n_specs = gcdr::bench::uint_flag(argc, argv, i);
         } else if (std::strcmp(argv[i], "--check") == 0) {
             check = true;
         } else {
@@ -200,9 +216,7 @@ int main(int argc, char** argv) {
     // Host the daemon in-process unless --connect points elsewhere. The
     // in-process cache is memory-only so the cold phase is honestly cold.
     std::unique_ptr<gcdr::serve::ServeServer> server;
-    std::string host = "127.0.0.1";
-    std::uint16_t port = 0;
-    if (connect.empty()) {
+    if (port == 0) {
         gcdr::serve::ServerOptions sopts;
         sopts.workers = 2;
         sopts.job_threads = opts.resolved_threads();
@@ -212,15 +226,6 @@ int main(int argc, char** argv) {
             return 1;
         }
         port = server->port();
-    } else {
-        const std::size_t colon = connect.rfind(':');
-        if (colon == std::string::npos) {
-            std::fprintf(stderr, "--connect wants HOST:PORT\n");
-            return 2;
-        }
-        host = connect.substr(0, colon);
-        port = static_cast<std::uint16_t>(
-            std::strtoul(connect.c_str() + colon + 1, nullptr, 10));
     }
     HttpClient client(host, port);
 

@@ -28,7 +28,6 @@
 // report diffs clean across thread counts.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -39,6 +38,7 @@
 #include "mc/importance.hpp"
 #include "mc/splitting.hpp"
 #include "statmodel/gated_osc_model.hpp"
+#include "util/parse_uint.hpp"
 
 using namespace gcdr;
 
@@ -101,10 +101,9 @@ int main(int argc, char** argv) {
             deep = true;
         } else if (std::strcmp(argv[i], "--batch") == 0) {
             batch = true;
-        } else if (std::strcmp(argv[i], "--channels") == 0 &&
-                   i + 1 < argc) {
+        } else if (std::strcmp(argv[i], "--channels") == 0) {
             channels = static_cast<std::size_t>(
-                std::strtoull(argv[++i], nullptr, 10));
+                bench::uint_flag(argc, argv, i, util::kMaxThreadCount));
         } else {
             return bench::unknown_flag(argv[i]);
         }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -26,16 +27,42 @@ namespace gcdr::scenario {
 
 namespace {
 
+/// The one statmodel a scenario run keeps alive between its tasks. A
+/// request whose config shares the held model's edge PDFs gets that
+/// model; any other drops it before building the new one, so one model's
+/// PDFs are resident at a time and consecutive requests that share an
+/// edge-PDF set build it once. Answers are bit-identical to a fresh model
+/// (GatedOscStatModel::ber_at's contract).
+class ModelSlot {
+public:
+    const statmodel::GatedOscStatModel& get(
+        const statmodel::ModelConfig& cfg) {
+        if (!model_ || !model_->shares_pdfs(cfg)) {
+            model_.reset();
+            model_.emplace(cfg);
+        }
+        return *model_;
+    }
+    void reset() { model_.reset(); }
+
+private:
+    std::optional<statmodel::GatedOscStatModel> model_;
+};
+
 // --- ber_surface ---------------------------------------------------------
 // Fig 9: one SweepRunner map over the grid (ShardedCounter on
 // <prefix>.ber_evals), histograms recorded serially in row-major order
 // afterwards, then one jtol_curve parallel_for over the contour
-// frequencies. Two pool jobs total. The map reads one model built at the
-// grid's first point: every point whose axes leave the edge PDFs alone
-// (SJ, offset, mismatch) reuses its PDFs, bit-identically.
+// frequencies. Two pool jobs total. The map reads the slot's model for
+// the grid's first point: every point whose axes leave the edge PDFs
+// alone (SJ, offset, mismatch) reuses its PDFs, bit-identically. The
+// contour searches the slot's model for the document's own config: the
+// surface's model when the axes leave the PDFs alone. A model an
+// earlier task left in the slot serves this surface when its first
+// point shares that model's PDFs (Fig 10's offsets after Fig 9's SJ).
 
 TaskResult run_ber_surface(const ScenarioDoc& doc, const TaskSpec& task,
-                           const ScenarioContext& ctx) {
+                           const ScenarioContext& ctx, ModelSlot& models) {
     obs::MetricsRegistry& reg = *ctx.metrics;
     exec::ThreadPool& pool = *ctx.pool;
     TaskResult result;
@@ -51,7 +78,7 @@ TaskResult run_ber_surface(const ScenarioDoc& doc, const TaskSpec& task,
     std::vector<double> surface;
     {
         obs::ScopedTimer t(&reg, task.prefix + ".surface_seconds");
-        const statmodel::GatedOscStatModel model(
+        const statmodel::GatedOscStatModel& model = models.get(
             grid.size() > 0
                 ? compile_point_model(base, task.axes, grid.point(0, ctx.seed))
                 : base);
@@ -71,8 +98,8 @@ TaskResult run_ber_surface(const ScenarioDoc& doc, const TaskSpec& task,
         std::vector<masks::MaskPoint> contour;
         {
             obs::ScopedTimer t(&reg, task.prefix + ".jtol_contour_seconds");
-            contour = statmodel::jtol_curve(base, task.jtol.freqs,
-                                            kPaperRate,
+            contour = statmodel::jtol_curve(models.get(base), base,
+                                            task.jtol.freqs, kPaperRate,
                                             task.jtol.ber_target, &pool);
         }
         const bool masked = task.jtol.mask != "none";
@@ -103,10 +130,12 @@ TaskResult run_ber_surface(const ScenarioDoc& doc, const TaskSpec& task,
 // The §2.2 architecture comparison: sweep 1 maps the three architectures
 // over the JTOL frequencies; sweep 2 (when the document asks for it) maps
 // the frequency-offset sensitivity; ErrorCounters attach after the sweep
-// and replay the per-point error totals.
+// and replay the per-point error totals. Every gated-oscillator number,
+// JTOL column and offset row alike, reads the slot's one model of the
+// document's config.
 
 TaskResult run_baseline_jtol(const ScenarioDoc& doc, const TaskSpec& task,
-                             const ScenarioContext& ctx) {
+                             const ScenarioContext& ctx, ModelSlot& models) {
     obs::MetricsRegistry& reg = *ctx.metrics;
     exec::ThreadPool& pool = *ctx.pool;
     TaskResult result;
@@ -114,6 +143,7 @@ TaskResult run_baseline_jtol(const ScenarioDoc& doc, const TaskSpec& task,
     result.kind = task_kind_name(task.kind);
 
     const statmodel::ModelConfig gcco_cfg = doc.model;
+    const statmodel::GatedOscStatModel& gcco = models.get(gcco_cfg);
     jitter::JitterSpec base = doc.model.spec;
     base.sj_uipp = 0.0;  // SJ amplitude is the swept quantity
 
@@ -135,7 +165,8 @@ TaskResult run_baseline_jtol(const ScenarioDoc& doc, const TaskSpec& task,
                        const double fn = p.value[0];
                        JtolRow r;
                        r.gated_osc = statmodel::jtol_amplitude(
-                           gcco_cfg, fn, task.ber_target, task.amp_cap);
+                           gcco, gcco_cfg, fn, task.ber_target,
+                           task.amp_cap);
                        r.bang_bang = cdr::baseline_jtol_amplitude(
                            bb, fn, base, kPaperRate, task.jtol_bits,
                            p.seed, task.ber_target, task.amp_cap);
@@ -181,7 +212,7 @@ TaskResult run_baseline_jtol(const ScenarioDoc& doc, const TaskSpec& task,
                         statmodel::ModelConfig g = gcco_cfg;
                         g.freq_offset = d;
                         OffsetRow r;
-                        r.gated_osc_ber = statmodel::ber_of(g);
+                        r.gated_osc_ber = gcco.ber_at(g);
 
                         cdr::BangBangCdr::Config bc;
                         bc.freq_offset = d;
@@ -513,22 +544,26 @@ TaskResult run_differential(const ScenarioDoc& doc, const TaskSpec& task,
 ScenarioResult run_scenario(const ScenarioDoc& doc,
                             const ScenarioContext& ctx) {
     ScenarioResult result;
+    ModelSlot models;
     for (const TaskSpec& task : doc.tasks) {
         TaskResult tr;
         switch (task.kind) {
             case TaskSpec::Kind::kBerSurface:
-                tr = run_ber_surface(doc, task, ctx);
+                tr = run_ber_surface(doc, task, ctx, models);
                 break;
             case TaskSpec::Kind::kBaselineJtol:
-                tr = run_baseline_jtol(doc, task, ctx);
+                tr = run_baseline_jtol(doc, task, ctx, models);
                 break;
             case TaskSpec::Kind::kNetlistRun:
+                models.reset();
                 tr = run_netlist(doc, task, ctx);
                 break;
             case TaskSpec::Kind::kDifferential:
+                models.reset();
                 tr = run_differential(doc, task, ctx);
                 break;
             case TaskSpec::Kind::kHealthProbe:
+                models.reset();
                 tr = run_health_probe(doc, task, ctx);
                 break;
         }

@@ -8,17 +8,22 @@
 // service). With --port 0 (default) the kernel picks a free port; the
 // chosen port is printed on stdout ("listening on 127.0.0.1:PORT") and,
 // with --port-file, written to a file scripts can poll for readiness.
-// SIGINT/SIGTERM (or POST /v1/shutdown) drain and exit 0.
+// SIGINT/SIGTERM (or POST /v1/shutdown) drain and exit 0. Integer
+// values are plain decimal (util::parse_uint): --port at most 65535,
+// --workers and --job-threads at most util::kMaxThreadCount; a missing
+// or bad value exits 2 naming the flag before anything binds.
 
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 
 #include "obs/log.hpp"
 #include "serve/server.hpp"
+#include "util/parse_uint.hpp"
 
 namespace {
 
@@ -55,21 +60,33 @@ int main(int argc, char** argv) {
             ++i;
             return next;
         };
+        // A decimal integer in [0, max], or exit 2 naming the flag before
+        // anything binds or spawns.
+        auto need_uint = [&](const char* flag, std::uint64_t max) {
+            const char* text = need(flag);
+            if (const auto value = gcdr::util::parse_uint(text, max)) {
+                return *value;
+            }
+            std::fprintf(stderr, "%s: want an integer in [0, %llu], got "
+                         "'%s'\n", flag, static_cast<unsigned long long>(max),
+                         text);
+            std::exit(2);
+        };
         if (arg == "--port") {
-            opts.port = static_cast<std::uint16_t>(
-                std::strtoul(need("--port"), nullptr, 10));
+            opts.port = static_cast<std::uint16_t>(need_uint("--port", 65535));
         } else if (arg == "--port-file") {
             port_file = need("--port-file");
         } else if (arg == "--cache") {
             opts.cache_path = need("--cache");
         } else if (arg == "--max-entries") {
-            opts.cache_max_entries =
-                std::strtoull(need("--max-entries"), nullptr, 10);
+            opts.cache_max_entries = need_uint(
+                "--max-entries", std::numeric_limits<std::size_t>::max());
         } else if (arg == "--workers") {
-            opts.workers = std::strtoull(need("--workers"), nullptr, 10);
+            opts.workers =
+                need_uint("--workers", gcdr::util::kMaxThreadCount);
         } else if (arg == "--job-threads") {
             opts.job_threads =
-                std::strtoull(need("--job-threads"), nullptr, 10);
+                need_uint("--job-threads", gcdr::util::kMaxThreadCount);
         } else if (arg == "--log-level") {
             gcdr::obs::LogLevel level{};
             if (!gcdr::obs::parse_log_level(need("--log-level"), level)) {

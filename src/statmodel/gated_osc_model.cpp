@@ -204,9 +204,18 @@ double GatedOscStatModel::late_error_prob(const ModelConfig& c,
     constexpr std::size_t kPhases = 512;
     static const std::array<double, kPhases> kSines =
         sj_phase_sines<kPhases>();
+    // Batched cdf calls over the phases, kChunk at a time so the buffer
+    // stays small on every pool lane's stack, summed in phase order.
+    constexpr std::size_t kChunk = 64;
+    static_assert(kPhases % kChunk == 0);
     double acc = 0.0;
-    for (double s : kSines) {
-        acc += pdf.tail_below(margin - a_eff * s);
+    for (std::size_t i0 = 0; i0 < kPhases; i0 += kChunk) {
+        std::array<double, kChunk> tails;
+        for (std::size_t i = 0; i < kChunk; ++i) {
+            tails[i] = margin - a_eff * kSines[i0 + i];
+        }
+        pdf.cdf(tails, tails);
+        for (double t : tails) acc += t;
     }
     return std::min(1.0, acc / static_cast<double>(kPhases));
 }
@@ -265,10 +274,11 @@ double ber_of(const ModelConfig& cfg) {
 
 namespace {
 
-/// jtol_amplitude's bisection, every step evaluated on `model`'s PDFs.
-double jtol_search(const GatedOscStatModel& model, double sj_freq_norm,
-                   double ber_target, double amp_cap) {
-    ModelConfig base = model.config();
+/// jtol_amplitude's bisection at `base`, every step evaluated through
+/// `model` (GatedOscStatModel::ber_at: on its PDFs when `base` shares
+/// them, else on a fresh model per step).
+double jtol_search(const GatedOscStatModel& model, ModelConfig base,
+                   double sj_freq_norm, double ber_target, double amp_cap) {
     base.sj_freq_norm = sj_freq_norm;
 
     auto ber_at = [&](double amp) {
@@ -296,21 +306,36 @@ double jtol_search(const GatedOscStatModel& model, double sj_freq_norm,
 
 double jtol_amplitude(ModelConfig base, double sj_freq_norm,
                       double ber_target, double amp_cap) {
-    return jtol_search(GatedOscStatModel(base), sj_freq_norm, ber_target,
-                       amp_cap);
+    return jtol_search(GatedOscStatModel(base), base, sj_freq_norm,
+                       ber_target, amp_cap);
+}
+
+double jtol_amplitude(const GatedOscStatModel& model, const ModelConfig& base,
+                      double sj_freq_norm, double ber_target,
+                      double amp_cap) {
+    return jtol_search(model, base, sj_freq_norm, ber_target, amp_cap);
 }
 
 std::vector<masks::MaskPoint> jtol_curve(const ModelConfig& base,
                                          const std::vector<double>& sj_freq_norms,
                                          LinkRate rate, double ber_target,
                                          exec::ThreadPool* pool) {
-    const GatedOscStatModel model(base);
+    return jtol_curve(GatedOscStatModel(base), base, sj_freq_norms, rate,
+                      ber_target, pool);
+}
+
+std::vector<masks::MaskPoint> jtol_curve(const GatedOscStatModel& model,
+                                         const ModelConfig& base,
+                                         const std::vector<double>& sj_freq_norms,
+                                         LinkRate rate, double ber_target,
+                                         exec::ThreadPool* pool) {
     std::vector<masks::MaskPoint> out(sj_freq_norms.size());
     auto eval_point = [&](std::size_t i) {
         const double fn = sj_freq_norms[i];
         // 100 UIpp: jtol_amplitude's default search cap.
-        out[i] = masks::MaskPoint{fn * rate.bits_per_second(),
-                                  jtol_search(model, fn, ber_target, 100.0)};
+        out[i] = masks::MaskPoint{
+            fn * rate.bits_per_second(),
+            jtol_search(model, base, fn, ber_target, 100.0)};
     };
     if (pool) {
         pool->parallel_for(out.size(), eval_point);

@@ -40,12 +40,18 @@
 // run_model enter only the integration, so ber_at() answers any point
 // that differs from the model's config in those fields alone from the
 // same PDFs. A search (a BER surface, a JTOL or FTOL bisection) builds
-// one model and evaluates every step through it.
+// one model and evaluates every step through it, and the model-taking
+// jtol_amplitude and jtol_curve let a caller that already holds a model
+// of the right PDFs search on it: scenario::run_scenario keeps one model
+// alive across its tasks, so consecutive tasks that share an edge-PDF
+// set build it once.
+// Every tail integral is a GridPdf::cdf call, O(1) per call, so the cost
+// of a query is the run lengths times the SJ phases it averages.
 //
 // Thread safety: a model is immutable once constructed. Every method is
 // const and reads only the model's own config and PDFs, so one model may
-// be shared read-only by all lanes of an exec::ThreadPool (jtol_curve and
-// the scenario BER surface do). Nothing but immutable constants outlives
+// be shared read-only by all lanes of an exec::ThreadPool (jtol_curve,
+// the scenario BER surface and baseline_jtol's sweeps do). Nothing but immutable constants outlives
 // a model: the SJ-phase sine table, built once per process, and util/fft's
 // per-thread twiddle tables. The sweep helpers below take an optional
 // pool and are bit-identical for any thread count because each grid point
@@ -176,6 +182,17 @@ private:
                                     double ber_target = 1e-12,
                                     double amp_cap = 100.0);
 
+/// jtol_amplitude(base, ...) evaluated on `model`'s PDFs, bit for bit.
+/// Only the PDFs come from `model`: freq_offset, trigger_mismatch_uirms
+/// and run_model come from `base`, never from model.config(). Pass a
+/// model that shares base's PDFs (shares_pdfs); any other model still
+/// gives the same bits, through a fresh model per step (ber_at).
+[[nodiscard]] double jtol_amplitude(const GatedOscStatModel& model,
+                                    const ModelConfig& base,
+                                    double sj_freq_norm,
+                                    double ber_target = 1e-12,
+                                    double amp_cap = 100.0);
+
 /// Full JTOL curve over normalized frequencies, as absolute-frequency mask
 /// points for comparison against masks::JtolMask. Each frequency's binary
 /// search is independent and all of them read one model; pass a pool to
@@ -185,6 +202,14 @@ private:
     const ModelConfig& base, const std::vector<double>& sj_freq_norms,
     LinkRate rate, double ber_target = 1e-12,
     exec::ThreadPool* pool = nullptr);
+
+/// jtol_curve(base, ...) evaluated on `model`'s PDFs, bit for bit, on the
+/// terms of the model-taking jtol_amplitude: every field but the PDFs
+/// comes from `base`.
+[[nodiscard]] std::vector<masks::MaskPoint> jtol_curve(
+    const GatedOscStatModel& model, const ModelConfig& base,
+    const std::vector<double>& sj_freq_norms, LinkRate rate,
+    double ber_target = 1e-12, exec::ThreadPool* pool = nullptr);
 
 /// Frequency tolerance: largest |delta| (both signs checked) keeping
 /// BER <= target with no sinusoidal jitter beyond the base config. Both

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 
 #include "obs/trace_span.hpp"
@@ -148,28 +149,76 @@ void GridPdf::shift(double offset) {
 }
 
 double GridPdf::cdf(double x) const {
-    if (empty()) return 0.0;
-    // Each bin's mass is spread uniformly over [x_i - dx/2, x_i + dx/2);
-    // integrate exactly, including the partial bin at x. Bins [0, k) lie
-    // wholly at or below x. The edge test is the left-to-right scan's own
-    // expression; every operation in it rounds monotonically in i, so it
-    // holds on a prefix and bisection finds the bin where the scan stops.
-    std::size_t k = 0;
-    std::size_t hi = density_.size();
-    while (k < hi) {
-        const std::size_t mid = k + (hi - k) / 2;
-        if (x >= x_at(mid) - dx_ / 2.0 + dx_) {
-            k = mid + 1;
-        } else {
-            hi = mid;
+    double p = 0.0;
+    cdf(std::span(&x, 1), std::span(&p, 1));
+    return p;
+}
+
+void GridPdf::cdf(std::span<const double> xs, std::span<double> out) const {
+    assert(out.size() == xs.size());
+    if (empty()) {
+        std::fill(out.begin(), out.end(), 0.0);
+        return;
+    }
+    // Copied out so the loop keeps the grid in registers. Bin indices are
+    // signed: n < 2^53, and the conversions compile to one instruction.
+    const double x0 = x0_;
+    const double dx = dx_;
+    const double inv_dx = 1.0 / dx_;
+    const double* density = density_.data();
+    const double* cum = cum_.data();
+    const auto n = static_cast<std::int64_t>(density_.size());
+    const double mass = mass_;
+    constexpr int kMaxSteps = 4;
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+        const double x = xs[i];
+        // Each bin's mass is spread uniformly over [x_j - dx/2, x_j +
+        // dx/2); integrate exactly, including the partial bin at x. Bins
+        // [0, k) lie wholly at or below x: x >= left_edge(j) + dx, the
+        // left-to-right scan's own edge test. Every operation in it
+        // rounds monotonically in j, so it holds on a prefix and k, the
+        // bin where the scan stops, is unique.
+        auto left_edge = [&](std::int64_t j) {
+            return x0 + dx * static_cast<double>(j) - dx / 2.0;
+        };
+        // Guess k from the bin arithmetic (NaN and x left of the grid give
+        // 0, huge x gives n), then step to the scan's k with the edge
+        // test: one step up or down at most, unless the grid origin
+        // dwarfs dx. The test holds below lo and fails from hi on; past
+        // kMaxSteps steps, bisect what is left between them.
+        const double guess = (x - x0) * inv_dx + 0.5;
+        std::int64_t k = guess >= static_cast<double>(n) ? n
+                         : guess > 0.0 ? static_cast<std::int64_t>(guess)
+                                       : 0;
+        std::int64_t lo = 0;
+        std::int64_t hi = n;
+        double left = left_edge(k);
+        int steps = 0;
+        for (; steps < kMaxSteps; ++steps) {
+            if (k < hi && x >= left + dx) {
+                lo = ++k;
+            } else if (k > lo && !(x >= left_edge(k - 1) + dx)) {
+                hi = --k;
+            } else {
+                break;
+            }
+            left = left_edge(k);
         }
+        if (steps == kMaxSteps) {
+            for (k = lo; k < hi;) {
+                const std::int64_t mid = k + (hi - k) / 2;
+                if (x >= left_edge(mid) + dx) {
+                    k = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            left = left_edge(k);
+        }
+        double acc = cum[k];
+        if (k < n && x > left) acc += density[k] * (x - left);
+        out[i] = std::min(acc, mass);
     }
-    double acc = cum_[k];
-    if (k < density_.size()) {
-        const double left = x_at(k) - dx_ / 2.0;
-        if (x > left) acc += density_[k] * (x - left);
-    }
-    return std::min(acc, mass_);
 }
 
 double GridPdf::tail_below(double x) const { return cdf(x); }

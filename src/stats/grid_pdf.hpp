@@ -10,8 +10,10 @@
 // Tail integration: each GridPdf keeps the running sum of its bin masses,
 // accumulated left to right exactly as a cdf scan would, plus its total
 // mass. Both are rebuilt only when the densities change (construction,
-// normalize()), so cdf/tail_below cost O(log n) and return the same bits
-// as the O(n) scan.
+// normalize()). cdf/tail_below compute the bin of x from (x - x0)/dx and
+// correct it with the scan's own edge test, so they cost O(1) (a grid
+// whose origin dwarfs dx falls back to bisection, O(log n)) and return
+// the same bits as the O(n) scan for every x, NaN and +-inf included.
 //
 // Thread safety: GridPdf is value-semantic with no global or hidden shared
 // state — factories return fresh objects, const queries touch only `this`,
@@ -20,6 +22,7 @@
 // instance from several threads needs external synchronization.
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace gcdr::stats {
@@ -76,9 +79,13 @@ public:
     /// origin need not stay a multiple of dx (bin width is unchanged).
     void shift(double offset);
 
-    /// P(X <= x): trapezoidal CDF evaluated from the left. Binary search
-    /// over the bin edges plus one partial bin, O(log n).
+    /// P(X <= x): trapezoidal CDF evaluated from the left. The bin of x
+    /// from the grid arithmetic, checked against its edges, plus one
+    /// partial bin: O(1).
     [[nodiscard]] double cdf(double x) const;
+    /// out[i] = cdf(xs[i]) for every i, bit for bit, with the grid read
+    /// once for the batch. `out` may be `xs` itself.
+    void cdf(std::span<const double> xs, std::span<double> out) const;
     /// P(X < lo) + P(X > hi): the "error tail" mass outside [lo, hi].
     [[nodiscard]] double tail_outside(double lo, double hi) const;
     /// P(X > x).

@@ -10,10 +10,14 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exec/thread_pool.hpp"
+#include "masks/jtol_mask.hpp"
 #include "obs/json_parse.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace_span.hpp"
 #include "scenario/compile.hpp"
 #include "scenario/fuzz.hpp"
 #include "scenario/run.hpp"
@@ -22,7 +26,9 @@
 #include "serve/executor.hpp"
 #include "serve/protocol.hpp"
 #include "serve/queue.hpp"
+#include "statmodel/gated_osc_model.hpp"
 #include "util/hash.hpp"
+#include "util/units.hpp"
 
 #ifndef GCDR_SCENARIOS_DIR
 #define GCDR_SCENARIOS_DIR "scenarios"
@@ -653,6 +659,100 @@ TEST(ScenarioRun, DifferentialFailsABehavioralLegThatRanNoRuns) {
     EXPECT_EQ(scalar("beh_agree"), 0.0);
     EXPECT_FALSE(result.tasks[0].ok);
     EXPECT_FALSE(result.ok);
+}
+
+/// pdf.convolve spans recorded while `fn` runs.
+template <class Fn>
+std::uint64_t convolve_spans(Fn&& fn) {
+    obs::SpanCollector& spans = obs::SpanCollector::global();
+    spans.clear();
+    spans.enable();
+    fn();
+    spans.disable();
+    std::uint64_t n = 0;
+    for (const auto& s : spans.summaries()) {
+        if (s.name == "pdf.convolve") n = s.count;
+    }
+    spans.clear();
+    return n;
+}
+
+TEST(ScenarioRun, SurfacesShareEdgePdfsBitForBit) {
+    // Fig 9 (SJ axes, with the JTOL contour), Fig 10 (offset axis) and
+    // Fig 17 (advanced sampling) shaped surfaces, then an offset-axis
+    // surface with a contour: its model is built at its first point's
+    // offset, and the contour must still search at the document's own.
+    ScenarioDoc doc;
+    std::vector<Diagnostic> diags;
+    ASSERT_TRUE(load(
+        R"({"schema":"gcdr.scenario/v1","name":"shared_pdfs",
+            "model":{"grid_dx":0.002},
+            "tasks":[
+              {"kind":"ber_surface","prefix":"fig9","axes":[
+                 {"name":"sj_freq_norm","values":[0.01,0.3]},
+                 {"name":"sj_uipp","values":[0.1,0.7]}],
+               "jtol":{"freqs":{"values":[0.01,0.5]},"ber_target":1e-12,
+                       "mask":"infiniband_2g5"}},
+              {"kind":"ber_surface","prefix":"fig10","axes":[
+                 {"name":"freq_offset","values":[-0.02,0.03]},
+                 {"name":"sj_uipp","values":[0.1,0.3]}]},
+              {"kind":"ber_surface","prefix":"fig17","axes":[
+                 {"name":"sampling_advance_ui","values":[0.125]},
+                 {"name":"freq_offset","values":[0.0,0.04]}]},
+              {"kind":"ber_surface","prefix":"offset_jtol","axes":[
+                 {"name":"freq_offset","values":[0.03,-0.01]}],
+               "jtol":{"freqs":{"values":[0.2]},"ber_target":1e-12,
+                       "mask":"none"}}]})",
+        doc, diags))
+        << (diags.empty() ? "" : diags[0].render());
+    obs::MetricsRegistry reg;
+    exec::ThreadPool pool(3);
+    ScenarioContext ctx;
+    ctx.metrics = &reg;
+    ctx.pool = &pool;
+    ScenarioResult result;
+    const std::uint64_t shared =
+        convolve_spans([&] { result = run_scenario(doc, ctx); });
+    ASSERT_EQ(result.tasks.size(), doc.tasks.size());
+
+    // A fresh model for every point and every contour.
+    for (std::size_t t = 0; t < doc.tasks.size(); ++t) {
+        const TaskSpec& task = doc.tasks[t];
+        SCOPED_TRACE(task.prefix);
+        const exec::SweepGrid grid = compile_grid(task);
+        std::vector<double> ber;
+        for (std::size_t i = 0; i < grid.size(); ++i) {
+            ber.push_back(statmodel::ber_of(compile_point_model(
+                doc.model, task.axes, grid.point(i, ctx.seed))));
+        }
+        std::vector<std::pair<std::string, std::vector<double>>> want = {
+            {"ber", ber}};
+        if (task.has_jtol) {
+            std::vector<double> tol;
+            for (const masks::MaskPoint& pt : statmodel::jtol_curve(
+                     doc.model, task.jtol.freqs, kPaperRate,
+                     task.jtol.ber_target)) {
+                tol.push_back(pt.amp_uipp);
+            }
+            want.emplace_back("jtol_uipp", tol);
+        }
+        EXPECT_EQ(result.tasks[t].series, want);
+    }
+
+    // The models the tasks built before they shared one: one per surface
+    // at its first point and one per contour. Sharing builds the base
+    // PDFs once for fig9, its contour and fig10, once for fig17, and once
+    // for offset_jtol and its contour.
+    const std::uint64_t fresh = convolve_spans([&] {
+        for (const TaskSpec& task : doc.tasks) {
+            const exec::SweepGrid grid = compile_grid(task);
+            (void)statmodel::GatedOscStatModel(compile_point_model(
+                doc.model, task.axes, grid.point(0, ctx.seed)));
+            if (task.has_jtol) (void)statmodel::GatedOscStatModel(doc.model);
+        }
+    });
+    EXPECT_GT(shared, 0u);
+    EXPECT_EQ(2 * shared, fresh);
 }
 
 // --- fuzzer --------------------------------------------------------------

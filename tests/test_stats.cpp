@@ -5,10 +5,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "statmodel/gated_osc_model.hpp"
 #include "stats/grid_pdf.hpp"
 #include "util/mathx.hpp"
 #include "util/rng.hpp"
@@ -255,35 +257,61 @@ double scan_cdf(const GridPdf& p, double x) {
     return std::min(acc, scan_mass(p));
 }
 
-/// Every bin edge as the scan computes it, each edge +-1 ulp, every bin
-/// centre, and points beyond both ends of the support.
-void expect_tails_match_scan(const GridPdf& p, const std::string& label) {
+/// Points around every `stride`-th bin: both edges as the scan computes
+/// them, each +-1 ulp, a seeded random point up to 16 ulps from the right
+/// edge and one within half a bin of it, and the bin centre. Then points
+/// beyond both ends of the support, +-inf, +-DBL_MAX and NaN. cdf,
+/// tail_below and the batched cdf must all return the scan's bits.
+void expect_tails_match_scan(const GridPdf& p, const std::string& label,
+                             std::size_t stride = 1) {
     SCOPED_TRACE(label);
     ASSERT_FALSE(p.empty());
     EXPECT_EQ(p.mass(), scan_mass(p));
     constexpr double kInf = std::numeric_limits<double>::infinity();
+    constexpr double kMax = std::numeric_limits<double>::max();
     const double dx = p.dx();
-    std::vector<double> xs = {-kInf, kInf, p.x_at(0) - 3.0 * dx,
+    std::vector<double> xs = {-kInf,
+                              kInf,
+                              -kMax,
+                              kMax,
+                              std::numeric_limits<double>::quiet_NaN(),
+                              p.x_at(0) - 3.0 * dx,
                               p.x_at(p.size() - 1) + 3.0 * dx};
-    for (std::size_t i = 0; i < p.size(); ++i) {
+    Rng rng(p.size());
+    for (std::size_t i = 0; i < p.size(); i += stride) {
         const double left = p.x_at(i) - dx / 2.0;
         for (double edge : {left, left + dx}) {
             xs.push_back(edge);
             xs.push_back(std::nextafter(edge, -kInf));
             xs.push_back(std::nextafter(edge, kInf));
         }
+        double near = left + dx;
+        const int ulps = static_cast<int>(rng.index(33)) - 16;
+        for (int u = 0; u < std::abs(ulps); ++u) {
+            near = std::nextafter(near, ulps < 0 ? -kInf : kInf);
+        }
+        xs.push_back(near);
+        xs.push_back(left + dx + rng.uniform(-0.5, 0.5) * dx);
         xs.push_back(p.x_at(i));
     }
+    std::vector<double> batched(xs.size());
+    p.cdf(xs, batched);
     int reported = 0;
-    for (double x : xs) {
+    for (std::size_t j = 0; j < xs.size(); ++j) {
+        const double x = xs[j];
         const double want = scan_cdf(p, x);
         const double cdf = p.cdf(x);
         const double below = p.tail_below(x);
         EXPECT_EQ(cdf, want) << "x = " << ::testing::PrintToString(x);
         EXPECT_EQ(below, want) << "x = " << ::testing::PrintToString(x);
+        EXPECT_EQ(batched[j], want)
+            << "batched, x = " << ::testing::PrintToString(x);
         // A wrong edge test repeats along the whole grid; five reports
         // are enough.
-        if ((cdf != want || below != want) && ++reported == 5) break;
+        if ((cdf != want || below != want || batched[j] != want) &&
+            ++reported == 5) {
+            break;
+        }
     }
 }
 
@@ -329,6 +357,34 @@ TEST(GridPdfTails, NormalizeAndShiftKeepTheScanBitForBit) {
     auto c = GridPdf::uniform(0.2, kDx).convolve(g);
     c.shift(-1.0 / 3.0);
     expect_tails_match_scan(c, "shifted convolution");
+}
+
+TEST(GridPdfTails, ExtremeGridsMatchTheScanBitForBit) {
+    // Off the dx lattice by a shift that is no multiple of dx.
+    auto g = GridPdf::gaussian(0.0312, 5e-4);
+    g.shift(std::sqrt(2.0) * 1e-3);
+    expect_tails_match_scan(g, "model grid, shifted off the lattice");
+    // An origin that dwarfs dx: the edges round onto a lattice ~125 bins
+    // coarse, so the bin guess misses by tens of bins and cdf has to
+    // bisect after its bounded walk.
+    expect_tails_match_scan(GridPdf(1e15, 1e-3, std::vector<double>(300, 3.0)),
+                            "origin 1e15, dx 1e-3");
+    // The widest edge PDF a statistical model may build, every 61st bin
+    // (the scan oracle is O(n) per point).
+    std::vector<double> d(statmodel::kMaxEdgePdfBins);
+    for (std::size_t i = 0; i < d.size(); ++i) {
+        d[i] = 1.5 + std::sin(static_cast<double>(i) * 1e-3);
+    }
+    GridPdf wide(-8.0, 5e-4, std::move(d));
+    wide.normalize();
+    wide.shift(-1.0 / 7.0);
+    expect_tails_match_scan(wide, "kMaxEdgePdfBins wide", 61);
+    // Empty: every query is 0, batched too.
+    const GridPdf none;
+    const std::vector<double> xs = {-1.0, 0.0, 1.0};
+    std::vector<double> out(xs.size(), 9.0);
+    none.cdf(xs, out);
+    EXPECT_EQ(out, std::vector<double>(xs.size(), 0.0));
 }
 
 TEST(GridPdfTails, BinCountsMatchTheFactories) {

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <numeric>
@@ -20,6 +21,7 @@
 #include "util/fast_round.hpp"
 #include "util/fft.hpp"
 #include "util/mathx.hpp"
+#include "util/parse_uint.hpp"
 #include "util/rng.hpp"
 #include "util/sim_time.hpp"
 #include "util/units.hpp"
@@ -53,6 +55,22 @@ TEST(SimTime, FromSecondsKeepsLlroundOutsideTheFastRange) {
                   static_cast<std::int64_t>(std::llround(s * 1e15)))
             << s;
     }
+}
+
+TEST(ParseUint, TakesPlainDecimalsUpToTheMax) {
+    constexpr std::uint64_t kTop = std::numeric_limits<std::uint64_t>::max();
+    EXPECT_EQ(util::parse_uint("0"), 0u);
+    EXPECT_EQ(util::parse_uint("007"), 7u);
+    EXPECT_EQ(util::parse_uint("18446744073709551615"), kTop);
+    EXPECT_EQ(util::parse_uint("1024", util::kMaxThreadCount), 1024u);
+    EXPECT_EQ(util::parse_uint("65535", 65535), 65535u);
+    for (const char* bad : {"", "-1", "-0", "+1", " 1", "1 ", "1x", "0x10",
+                            "1e3", "18446744073709551616"}) {
+        EXPECT_FALSE(util::parse_uint(bad)) << "'" << bad << "'";
+    }
+    EXPECT_FALSE(util::parse_uint("1025", util::kMaxThreadCount));
+    EXPECT_FALSE(util::parse_uint("70000", 65535));
+    EXPECT_FALSE(util::parse_uint("1", 0));
 }
 
 TEST(FastRound, MatchesLlroundBitForBit) {
