@@ -2,8 +2,9 @@
 // (--scenario FILE), validate it, compile it onto the existing object
 // graph, execute its tasks and print each task's tables. The committed
 // scenarios are the only specification of the paper's Fig 8
-// (fig8_timing.json), Fig 9 (fig9_ber_sj.json) and the §2.2 comparison
-// against loop CDRs (baseline_jtol.json).
+// (fig8_timing.json), Fig 9 (fig9_ber_sj.json), Fig 10
+// (fig10_ber_freqoff.json), Fig 17 (fig17_ber_improved.json) and the
+// §2.2 comparison against loop CDRs (baseline_jtol.json).
 //
 //   bench_scenario --scenario scenarios/fig9_ber_sj.json --json out.json
 //   bench_scenario --fuzz-seed 42        # scenario::random_valid(42)

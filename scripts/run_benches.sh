@@ -42,9 +42,7 @@ mkdir -p "$reports_dir"
 benches=(
     kernel_perf
     trace_overhead
-    fig10_ber_freqoff
     fig13_tau_sweep
-    fig17_ber_improved
     xval_ber
     ftol_scan
     serve
@@ -80,10 +78,10 @@ if [[ -x "$bin" ]]; then
 fi
 
 # Declarative scenarios: every committed config under scenarios/ runs
-# through bench_scenario with the same telemetry plumbing (Fig 8, Fig 9
-# and the architecture comparison exist only as scenarios). Reports land
-# as BENCH_scenario_<name>.json and carry the scenario file + canonical
-# config hash in their "run" object.
+# through bench_scenario with the same telemetry plumbing (Fig 8, Fig 9,
+# Fig 10, Fig 17 and the architecture comparison exist only as
+# scenarios). Reports land as BENCH_scenario_<name>.json and carry the
+# scenario file + canonical config hash in their "run" object.
 scenarios_dir="$repo_root/scenarios"
 bin="$build_dir/bench/bench_scenario"
 if [[ -x "$bin" && -d "$scenarios_dir" ]]; then

@@ -120,13 +120,6 @@ public:
         return out;
     }
 
-    /// map() for lambdas taking only the axis values, common for
-    /// deterministic statistical-model sweeps: fn(p.value) -> R.
-    template <typename R, typename F>
-    [[nodiscard]] std::vector<R> map_values(F&& fn) const {
-        return map<R>([&fn](const SweepPoint& p) { return fn(p.value); });
-    }
-
 private:
     ThreadPool* pool_;
     SweepGrid grid_;

@@ -8,6 +8,7 @@
 #include "exec/sweep.hpp"
 #include "obs/progress.hpp"
 #include "obs/trace_span.hpp"
+#include "statmodel/timing.hpp"
 #include "util/rng.hpp"
 
 namespace gcdr::mc {
@@ -25,8 +26,8 @@ DirectSampler::DirectSampler(const MarginModel& model, Config cfg,
                              obs::MetricsRegistry* metrics)
     : model_(&model), cfg_(cfg), metrics_(metrics) {
     const int cap = model.max_run_length();
-    pmf_ = run_length_pmf(cap);
-    mean_len_ = mean_run_length(pmf_);
+    pmf_ = statmodel::run_length_probs(cap);
+    mean_len_ = statmodel::mean_run_length(pmf_);
     // Smallest pmf atom is 2^-(cap-1); a round that is a multiple of
     // 2^(cap-1) makes every n_l = N * P(l) an exact integer.
     const std::uint64_t quantum = 1ull << (cap - 1);

@@ -9,6 +9,7 @@
 #include "exec/sweep.hpp"
 #include "obs/progress.hpp"
 #include "obs/trace_span.hpp"
+#include "statmodel/timing.hpp"
 #include "util/rng.hpp"
 
 namespace gcdr::mc {
@@ -19,8 +20,8 @@ ImportanceSampler::ImportanceSampler(const AnalyticMarginModel& model,
     : model_(&model), cfg_(cfg), metrics_(metrics) {
     assert(cfg_.samples_per_stratum_round > 0);
     assert(cfg_.phase_bins >= 1);
-    pmf_ = run_length_pmf(model.max_run_length());
-    mean_len_ = mean_run_length(pmf_);
+    pmf_ = statmodel::run_length_probs(model.max_run_length());
+    mean_len_ = statmodel::mean_run_length(pmf_);
     const bool has_sj = model.config().spec.sj_uipp > 0.0 &&
                         model.config().sj_freq_norm > 0.0;
     bins_ = has_sj ? cfg_.phase_bins : 1;
@@ -29,10 +30,11 @@ ImportanceSampler::ImportanceSampler(const AnalyticMarginModel& model,
 
 void ImportanceSampler::build_strata() {
     strata_.clear();
+    const statmodel::ModelConfig& mcfg = model_->config();
     for (int l = 1; l <= model_->max_run_length(); ++l) {
-        const double sigma_rj = model_->rj_sigma();
-        const double sigma_osc = model_->osc_sigma(l);
-        const double amp = model_->sj_eff_amp(l);
+        const double sigma_rj = mcfg.spec.rj_uirms;
+        const double sigma_osc = statmodel::osc_sigma_ui(mcfg, l);
+        const double amp = statmodel::sj_effective_amplitude(mcfg, l);
         // Margin = c.z + DJ + SJ - threshold with c the gradient below.
         const double c[3] = {sigma_rj, -sigma_rj, -sigma_osc};
         const double c2 = c[0] * c[0] + c[1] * c[1] + c[2] * c[2];
@@ -56,9 +58,9 @@ void ImportanceSampler::build_strata() {
                 std::min(std::sin(2.0 * std::numbers::pi * u_lo),
                          std::sin(2.0 * std::numbers::pi * u_hi));
             if (u_lo <= 0.75 && 0.75 < u_hi) sin_min = -1.0;  // interior min
-            const double g_min = -0.5 * model_->config().spec.dj_uipp +
+            const double g_min = -0.5 * mcfg.spec.dj_uipp +
                                  amp * sin_min -
-                                 model_->margin_threshold(l);
+                                 statmodel::late_threshold_ui(mcfg, l);
             if (g_min > 0.0 && c2 > 0.0) {
                 for (int i = 0; i < 3; ++i) st.mu[i] = -g_min * c[i] / c2;
             }
@@ -67,8 +69,8 @@ void ImportanceSampler::build_strata() {
     }
     Stratum early;
     early.early = true;
-    const double s1 = model_->early_nominal_ui();
-    const double se = model_->early_sigma();
+    const double s1 = statmodel::sample_instant_ui(mcfg, 1);
+    const double se = statmodel::early_sigma_ui(mcfg);
     if (s1 > 0.0 && se > 0.0) early.mu_early = -s1 / se;
     strata_.push_back(early);
 }

@@ -11,30 +11,13 @@
 #include "obs/trace_causal.hpp"
 #include "sim/batch/channel_batch.hpp"
 #include "sim/scheduler.hpp"
+#include "statmodel/timing.hpp"
 
 namespace gcdr::mc {
 
 void MarginModel::margin_ui_batch(const RunSample* samples, std::size_t n,
                                   double* out) const {
     for (std::size_t i = 0; i < n; ++i) out[i] = margin_ui(samples[i]);
-}
-
-std::vector<double> run_length_pmf(int cap) {
-    assert(cap >= 1);
-    std::vector<double> p(cap);
-    for (int l = 1; l < cap; ++l) {
-        p[l - 1] = std::pow(0.5, l);
-    }
-    p[cap - 1] = std::pow(0.5, cap - 1);  // P(L >= cap) folded onto the cap
-    return p;
-}
-
-double mean_run_length(const std::vector<double>& pmf) {
-    double m = 0.0;
-    for (std::size_t i = 0; i < pmf.size(); ++i) {
-        m += static_cast<double>(i + 1) * pmf[i];
-    }
-    return m;
 }
 
 int run_length_from_uniform(const std::vector<double>& pmf, double u) {
@@ -54,34 +37,6 @@ AnalyticMarginModel::AnalyticMarginModel(const statmodel::ModelConfig& cfg)
     assert(cfg_.max_cid >= 1);
 }
 
-double AnalyticMarginModel::margin_threshold(int run_length) const {
-    return (static_cast<double>(run_length) - 0.5 -
-            cfg_.sampling_advance_ui) *
-               (1.0 + cfg_.freq_offset) -
-           static_cast<double>(run_length);
-}
-
-double AnalyticMarginModel::osc_sigma(int run_length) const {
-    const double elapsed_ui =
-        std::max(0.0, static_cast<double>(run_length) - 0.5 -
-                          cfg_.sampling_advance_ui);
-    return cfg_.spec.ckj_uirms *
-           std::sqrt(elapsed_ui / static_cast<double>(cfg_.cid_ref));
-}
-
-double AnalyticMarginModel::combined_sigma(int run_length) const {
-    const double rj2 = 2.0 * cfg_.spec.rj_uirms * cfg_.spec.rj_uirms;
-    const double osc = osc_sigma(run_length);
-    return std::sqrt(rj2 + osc * osc);
-}
-
-double AnalyticMarginModel::sj_eff_amp(int run_length) const {
-    if (cfg_.spec.sj_uipp <= 0.0 || cfg_.sj_freq_norm <= 0.0) return 0.0;
-    return cfg_.spec.sj_uipp *
-           std::abs(std::sin(std::numbers::pi * cfg_.sj_freq_norm *
-                             static_cast<double>(run_length)));
-}
-
 double AnalyticMarginModel::late_margin_ui(const RunSample& s) const {
     // The last sample survives while  L + dJ_rel > s_L + osc jitter, i.e.
     // margin = DJ + RJ_close - RJ_trig - osc*z + SJ_rel - (s_L - L) > 0.
@@ -89,25 +44,17 @@ double AnalyticMarginModel::late_margin_ui(const RunSample& s) const {
     // G ~ N(0, 2*rj^2 + osc^2) and S the phase-uniform SJ sinusoid.
     const double dj = (s.u_dj - 0.5) * cfg_.spec.dj_uipp;
     const double rj = cfg_.spec.rj_uirms * (s.z_edge - s.z_trig);
-    const double osc = osc_sigma(s.run_length) * s.z_osc;
+    const double osc = statmodel::osc_sigma_ui(cfg_, s.run_length) * s.z_osc;
     const double sj =
-        sj_eff_amp(s.run_length) *
+        statmodel::sj_effective_amplitude(cfg_, s.run_length) *
         std::sin(2.0 * std::numbers::pi * s.u_phase);
-    return dj + rj - osc + sj - margin_threshold(s.run_length);
-}
-
-double AnalyticMarginModel::early_nominal_ui() const {
-    return (0.5 - cfg_.sampling_advance_ui) * (1.0 + cfg_.freq_offset);
-}
-
-double AnalyticMarginModel::early_sigma() const {
-    const double osc = osc_sigma(1);
-    const double mm = cfg_.trigger_mismatch_uirms;
-    return std::sqrt(osc * osc + mm * mm);
+    return dj + rj - osc + sj -
+           statmodel::late_threshold_ui(cfg_, s.run_length);
 }
 
 double AnalyticMarginModel::early_margin_ui(double z_early) const {
-    return early_nominal_ui() + early_sigma() * z_early;
+    return statmodel::sample_instant_ui(cfg_, 1) +
+           statmodel::early_sigma_ui(cfg_) * z_early;
 }
 
 void AnalyticMarginModel::late_margin_ui_batch(const RunSample* samples,

@@ -4,9 +4,10 @@
 // of a latent coordinate vector. Error <=> margin < 0.
 //
 // Two implementations:
-//  - AnalyticMarginModel mirrors statmodel/gated_osc_model.cpp's timing
-//    equations exactly (same jitter budget, same relative-edge algebra),
-//    but *samples* the continuous laws instead of convolving gridded PDFs.
+//  - AnalyticMarginModel evaluates the statistical model's timing
+//    equations (statmodel/timing.hpp: same jitter budget, same
+//    relative-edge algebra), but *samples* the continuous laws instead of
+//    convolving gridded PDFs.
 //    Monte Carlo estimates over it therefore converge to the statistical
 //    model's BER up to grid error — the cross-validation bench leans on
 //    that identity.
@@ -48,12 +49,8 @@ struct RunSample {
     std::uint64_t noise_seed = 0;
 };
 
-/// Truncated-geometric run-length law P(L = l), l = 1..cap (the same law
-/// statmodel uses: random data with the encoding's CID cap).
-[[nodiscard]] std::vector<double> run_length_pmf(int cap);
-[[nodiscard]] double mean_run_length(const std::vector<double>& pmf);
-
-/// Inverse-CDF draw of a run length from the law, u in [0,1).
+/// Inverse-CDF draw of a run length from statmodel::run_length_probs'
+/// law `pmf`, u in [0,1).
 [[nodiscard]] int run_length_from_uniform(const std::vector<double>& pmf,
                                           double u);
 
@@ -90,20 +87,6 @@ public:
                               double* out) const;
     /// Margin of the run's first bit against its own trigger.
     [[nodiscard]] double early_margin_ui(double z_early) const;
-
-    // Pieces the importance sampler's tilt construction needs.
-    /// (s_L - L): the (negative) threshold the relative edge must cross.
-    [[nodiscard]] double margin_threshold(int run_length) const;
-    [[nodiscard]] double rj_sigma() const { return cfg_.spec.rj_uirms; }
-    [[nodiscard]] double osc_sigma(int run_length) const;
-    /// sqrt(2*rj^2 + osc^2): sigma of the relative Gaussian budget.
-    [[nodiscard]] double combined_sigma(int run_length) const;
-    /// Effective relative SJ amplitude A_pp*|sin(pi*f*L)|.
-    [[nodiscard]] double sj_eff_amp(int run_length) const;
-    /// Nominal first-bit sample instant s_1.
-    [[nodiscard]] double early_nominal_ui() const;
-    /// sqrt(osc_1^2 + trigger mismatch^2): early-mechanism sigma.
-    [[nodiscard]] double early_sigma() const;
 
     [[nodiscard]] const statmodel::ModelConfig& config() const {
         return cfg_;

@@ -9,6 +9,7 @@
 #include "exec/sweep.hpp"
 #include "obs/progress.hpp"
 #include "obs/trace_span.hpp"
+#include "statmodel/timing.hpp"
 #include "util/rng.hpp"
 
 namespace gcdr::mc {
@@ -40,8 +41,8 @@ SplittingEngine::SplittingEngine(const MarginModel& model, Config cfg,
     assert(cfg_.n_particles >= 8);
     assert(cfg_.p0 > 0.0 && cfg_.p0 < 1.0);
     assert(cfg_.pcn_rho >= 0.0 && cfg_.pcn_rho < 1.0);
-    pmf_ = run_length_pmf(model.max_run_length());
-    mean_len_ = mean_run_length(pmf_);
+    pmf_ = statmodel::run_length_probs(model.max_run_length());
+    mean_len_ = statmodel::mean_run_length(pmf_);
 }
 
 RunSample SplittingEngine::to_sample(const Particle& p) const {

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <system_error>
 
 #include "obs/json.hpp"
 
@@ -225,7 +226,25 @@ void HttpServer::accept_loop() {
             ::close(fd);
             break;
         }
-        conns_.emplace_back([this, fd] { connection_loop(fd); });
+        for (auto it = conns_.begin(); it != conns_.end();) {
+            if (it->done.load(std::memory_order_acquire)) {
+                it->thread.join();
+                it = conns_.erase(it);
+            } else {
+                ++it;
+            }
+        }
+        Connection& c = conns_.emplace_back();
+        try {
+            c.thread = std::thread([this, fd, &c] {
+                connection_loop(fd);
+                c.done.store(true, std::memory_order_release);
+            });
+        } catch (const std::system_error&) {
+            // Out of threads: drop this connection, keep serving the rest.
+            conns_.pop_back();
+            ::close(fd);
+        }
     }
 }
 
@@ -324,7 +343,7 @@ void HttpServer::stop() {
     if (acceptor_.joinable()) acceptor_.join();
     {
         std::lock_guard<std::mutex> lk(conn_mu_);
-        for (auto& t : conns_) t.join();
+        for (Connection& c : conns_) c.thread.join();
         conns_.clear();
     }
     if (listen_fd_ >= 0) {

@@ -9,9 +9,12 @@
 // Threading model: one acceptor thread (poll with a short timeout, so
 // stop() is prompt) plus one thread per live connection. Connection
 // threads block in recv with a receive timeout and re-check the stop
-// flag, so shutdown never hangs on an idle keep-alive connection. The
-// handler runs on the connection thread; it may block (the /v1/run
-// endpoint waits for a worker to finish the job).
+// flag, so shutdown never hangs on an idle keep-alive connection. A
+// connection thread marks itself done as it exits, and the acceptor joins
+// the done ones before it starts the next, so a thread and its stack live
+// only as long as their connection. The handler runs on the connection
+// thread; it may block (the /v1/run endpoint waits for a worker to finish
+// the job).
 
 #include <atomic>
 #include <cstdint>
@@ -106,6 +109,11 @@ private:
     /// clean EOF / stop, -1 on protocol or I/O error (connection drops).
     int read_request(int fd, std::string& buf, HttpRequest& out);
 
+    struct Connection {
+        std::thread thread;
+        std::atomic<bool> done{false};  ///< set as the thread exits
+    };
+
     Handler handler_;
     int listen_fd_ = -1;
     std::uint16_t port_ = 0;
@@ -113,7 +121,7 @@ private:
     std::atomic<bool> stopping_{false};
     std::thread acceptor_;
     std::mutex conn_mu_;
-    std::list<std::thread> conns_;
+    std::list<Connection> conns_;
 };
 
 /// Blocking keep-alive client. Reconnects transparently when the server

@@ -9,46 +9,12 @@
 #include <stdexcept>
 #include <utility>
 
+#include "statmodel/timing.hpp"
 #include "util/mathx.hpp"
 
 namespace gcdr::statmodel {
 
 namespace {
-
-/// Truncated-geometric run-length probabilities P(L = l), l = 1..cap.
-/// Random data forces P(l) = 2^-l; the encoding folds the tail onto the cap
-/// (a transition is inserted at the latest after `cap` identical bits).
-std::vector<double> run_length_probs(int cap) {
-    assert(cap >= 1);
-    std::vector<double> p(cap);
-    for (int l = 1; l < cap; ++l) {
-        p[l - 1] = std::pow(0.5, l);
-    }
-    p[cap - 1] = std::pow(0.5, cap - 1);  // P(L >= cap)
-    return p;
-}
-
-double mean_run_length(const std::vector<double>& p) {
-    double m = 0.0;
-    for (std::size_t i = 0; i < p.size(); ++i) {
-        m += static_cast<double>(i + 1) * p[i];
-    }
-    return m;
-}
-
-double sample_instant_ui(const ModelConfig& c, int k) {
-    return (static_cast<double>(k) - 0.5 - c.sampling_advance_ui) *
-           (1.0 + c.freq_offset);
-}
-
-double osc_sigma_ui(const ModelConfig& c, int k) {
-    // CKJ is quoted at cid_ref bit periods of free run; white-noise
-    // accumulation scales as sqrt(elapsed time).
-    const double elapsed_ui =
-        std::max(0.0, static_cast<double>(k) - 0.5 - c.sampling_advance_ui);
-    return c.spec.ckj_uirms *
-           std::sqrt(elapsed_ui / static_cast<double>(c.cid_ref));
-}
 
 /// RJ of both edges and the oscillator's accumulated jitter are
 /// independent Gaussians; combined into one.
@@ -79,25 +45,10 @@ stats::GridPdf relative_edge_pdf(const ModelConfig& c, int run_length) {
     return stats::convolve_all(parts, dx, c.pdf_prune_floor);
 }
 
-double sj_effective_amplitude(const ModelConfig& c, int run_length) {
-    // Coherent sinusoid sampled `run_length` UI apart: the difference is a
-    // sinusoid of amplitude A_pp * |sin(pi * f_norm * L)|. (A_pp because
-    // the jitter sinusoid's own amplitude is A_pp/2 and the difference
-    // doubles it at the resonant spacing.)
-    if (c.spec.sj_uipp <= 0.0 || c.sj_freq_norm <= 0.0) return 0.0;
-    return c.spec.sj_uipp *
-           std::abs(std::sin(std::numbers::pi * c.sj_freq_norm *
-                             static_cast<double>(run_length)));
-}
-
+/// P(first bit of a run sampled before its own trigger).
 double early_error(const ModelConfig& c) {
-    // First bit of a run sampled before its own trigger: the trigger is
-    // the common time reference, so only the oscillator's short-horizon
-    // jitter and the EDET/DDIN path mismatch apply.
     const double s1 = sample_instant_ui(c, 1);
-    const double osc = osc_sigma_ui(c, 1);
-    const double mm = c.trigger_mismatch_uirms;
-    const double sigma = std::sqrt(osc * osc + mm * mm);
+    const double sigma = early_sigma_ui(c);
     if (sigma <= 0.0) return s1 < 0.0 ? 1.0 : 0.0;
     return q_function(s1 / sigma);
 }
@@ -193,8 +144,7 @@ double GatedOscStatModel::late_error_prob(const ModelConfig& c,
     // margin = s_L - L (in UI). The SJ average is taken exactly over the
     // sinusoid phase (512-point rectangle rule) instead of convolving an
     // arcsine PDF — same math, no grid blow-up at multi-UI amplitudes.
-    const double margin =
-        sample_instant_ui(c, run_length) - static_cast<double>(run_length);
+    const double margin = late_threshold_ui(c, run_length);
     const stats::GridPdf& pdf =
         edge_pdfs_[static_cast<std::size_t>(run_length - 1)];
     const double a_eff = sj_effective_amplitude(c, run_length);
@@ -253,8 +203,7 @@ double GatedOscStatModel::eye_margin_ui(double ber_target) const {
         for (double s : sines) acc += pdf.tail_below(x - a_eff * s);
         return acc / static_cast<double>(kPhases);
     };
-    const double margin =
-        sample_instant_ui(cfg_, L) - static_cast<double>(L);
+    const double margin = late_threshold_ui(cfg_, L);
     // Walk the margin left until the tail mass drops below target: the
     // distance walked is the margin to the 1e-12 contour.
     const double dx = cfg_.grid_dx;

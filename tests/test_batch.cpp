@@ -31,6 +31,7 @@
 #include "sim/batch/channel_batch.hpp"
 #include "sim/batch/lane_rng.hpp"
 #include "sim/scheduler.hpp"
+#include "statmodel/timing.hpp"
 #include "util/fft.hpp"
 #include "util/rng.hpp"
 
@@ -298,7 +299,7 @@ TEST(BehavioralMarginModel, BatchedOracleMatchesScalar) {
     const mc::BehavioralMarginModel batch_model(batch_params);
 
     Rng rng(3);
-    const auto pmf = mc::run_length_pmf(scalar_params.max_cid);
+    const auto pmf = statmodel::run_length_probs(scalar_params.max_cid);
     std::vector<mc::RunSample> samples(23);
     for (auto& s : samples) {
         s.run_length = mc::run_length_from_uniform(pmf, rng.uniform());

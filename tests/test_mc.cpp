@@ -13,6 +13,7 @@
 #include "mc/margin_model.hpp"
 #include "mc/splitting.hpp"
 #include "statmodel/gated_osc_model.hpp"
+#include "statmodel/timing.hpp"
 
 namespace gcdr::mc {
 namespace {
@@ -101,18 +102,18 @@ TEST(WeightedTally, MergeMatchesSequentialAdds) {
 // Run-length law
 
 TEST(RunLength, PmfSumsToOneWithCapAtom) {
-    const auto pmf = run_length_pmf(5);
+    const auto pmf = statmodel::run_length_probs(5);
     ASSERT_EQ(pmf.size(), 5u);
     double sum = 0.0;
     for (double p : pmf) sum += p;
     EXPECT_DOUBLE_EQ(sum, 1.0);
     EXPECT_DOUBLE_EQ(pmf[0], 0.5);
     EXPECT_DOUBLE_EQ(pmf[4], 0.0625);       // 2^-(cap-1) atom
-    EXPECT_DOUBLE_EQ(mean_run_length(pmf), 1.9375);
+    EXPECT_DOUBLE_EQ(statmodel::mean_run_length(pmf), 1.9375);
 }
 
 TEST(RunLength, InverseCdfCoversSupport) {
-    const auto pmf = run_length_pmf(5);
+    const auto pmf = statmodel::run_length_probs(5);
     EXPECT_EQ(run_length_from_uniform(pmf, 0.0), 1);
     EXPECT_EQ(run_length_from_uniform(pmf, 0.49), 1);
     EXPECT_EQ(run_length_from_uniform(pmf, 0.51), 2);

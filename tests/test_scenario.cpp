@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -431,9 +432,10 @@ TEST(ScenarioCanonical, PatternSourceAndHealthProbeRoundTrip) {
 // --- golden configs ------------------------------------------------------
 
 TEST(ScenarioGoldens, CommittedScenariosLoadAndRoundTrip) {
-    const char* goldens[] = {"fig9_ber_sj.json",    "baseline_jtol.json",
-                             "multilane_smoke.json", "xval_sj030.json",
-                             "fig8_timing.json",     "health_smoke.json"};
+    const char* goldens[] = {"fig9_ber_sj.json",       "fig10_ber_freqoff.json",
+                             "fig17_ber_improved.json", "baseline_jtol.json",
+                             "multilane_smoke.json",    "xval_sj030.json",
+                             "fig8_timing.json",        "health_smoke.json"};
     for (const char* g : goldens) {
         const std::string path = std::string(GCDR_SCENARIOS_DIR) + "/" + g;
         ScenarioDoc doc;
@@ -470,10 +472,10 @@ TEST(ScenarioGoldens, MultilaneNetlistCompiles) {
     EXPECT_DOUBLE_EQ(net.lanes[3].skew_ps, 105.0);
 }
 
-// The figure scenarios are the only source of Fig 8, Fig 9 and the
-// architecture comparison. Their canonical hashes and seed-1 payload
-// digests are pinned, so a changed surface, contour, JTOL table or
-// health snapshot fails here before it reaches a report.
+// The figure scenarios are the only source of Fig 8, Fig 9, Fig 10,
+// Fig 17 and the architecture comparison. Their canonical hashes and
+// seed-1 payload digests are pinned, so a changed surface, contour, JTOL
+// table or health snapshot fails here before it reaches a report.
 
 ScenarioDoc load_golden(const char* file) {
     ScenarioDoc doc;
@@ -506,6 +508,20 @@ TEST(ScenarioGoldens, Fig9BerSjPayloadIsPinnedAtAnyLaneCount) {
     EXPECT_EQ(util::hash_hex(scenario_hash(doc)), "15d469506fbdcad4");
     EXPECT_EQ(payload_digest(doc, 4), "7e6a438efbd7d315");
     EXPECT_EQ(payload_digest(doc, 1), "7e6a438efbd7d315");
+}
+
+TEST(ScenarioGoldens, Fig10BerFreqoffPayloadIsPinnedAtAnyLaneCount) {
+    const ScenarioDoc doc = load_golden("fig10_ber_freqoff.json");
+    EXPECT_EQ(util::hash_hex(scenario_hash(doc)), "1a7fa07952c06b19");
+    EXPECT_EQ(payload_digest(doc, 4), "7c0fa62b32fa711f");
+    EXPECT_EQ(payload_digest(doc, 1), "7c0fa62b32fa711f");
+}
+
+TEST(ScenarioGoldens, Fig17BerImprovedPayloadIsPinnedAtAnyLaneCount) {
+    const ScenarioDoc doc = load_golden("fig17_ber_improved.json");
+    EXPECT_EQ(util::hash_hex(scenario_hash(doc)), "e06a2d2dedcb11b3");
+    EXPECT_EQ(payload_digest(doc, 4), "954cdfe3f682c8a2");
+    EXPECT_EQ(payload_digest(doc, 1), "954cdfe3f682c8a2");
 }
 
 TEST(ScenarioGoldens, BaselineJtolPayloadIsPinned) {
@@ -661,6 +677,50 @@ TEST(ScenarioRun, DifferentialFailsABehavioralLegThatRanNoRuns) {
     EXPECT_FALSE(result.ok);
 }
 
+using Series = std::vector<std::pair<std::string, std::vector<double>>>;
+
+/// Each ber_surface task's series the way a figure main computes them: a
+/// fresh model per grid point (ber_of) and per contour (jtol_curve at the
+/// document's config).
+std::vector<Series> fresh_model_series(const ScenarioDoc& doc,
+                                       std::uint64_t seed) {
+    std::vector<Series> out;
+    for (const TaskSpec& task : doc.tasks) {
+        const exec::SweepGrid grid = compile_grid(task);
+        std::vector<double> ber;
+        for (std::size_t i = 0; i < grid.size(); ++i) {
+            ber.push_back(statmodel::ber_of(compile_point_model(
+                doc.model, task.axes, grid.point(i, seed))));
+        }
+        Series want = {{"ber", ber}};
+        if (task.has_jtol) {
+            std::vector<double> tol;
+            for (const masks::MaskPoint& pt : statmodel::jtol_curve(
+                     doc.model, task.jtol.freqs, kPaperRate,
+                     task.jtol.ber_target)) {
+                tol.push_back(pt.amp_uipp);
+            }
+            want.emplace_back("jtol_uipp", tol);
+        }
+        out.push_back(std::move(want));
+    }
+    return out;
+}
+
+/// Same series names and lengths, and the same bytes in every value.
+void expect_same_bits(const Series& got, const Series& want) {
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t s = 0; s < want.size(); ++s) {
+        const auto& [name, values] = want[s];
+        EXPECT_EQ(got[s].first, name);
+        ASSERT_EQ(got[s].second.size(), values.size()) << name;
+        EXPECT_EQ(std::memcmp(got[s].second.data(), values.data(),
+                              values.size() * sizeof(double)),
+                  0)
+            << name;
+    }
+}
+
 /// pdf.convolve spans recorded while `fn` runs.
 template <class Fn>
 std::uint64_t convolve_spans(Fn&& fn) {
@@ -716,34 +776,17 @@ TEST(ScenarioRun, SurfacesShareEdgePdfsBitForBit) {
     ASSERT_EQ(result.tasks.size(), doc.tasks.size());
 
     // A fresh model for every point and every contour.
+    const std::vector<Series> fresh = fresh_model_series(doc, ctx.seed);
     for (std::size_t t = 0; t < doc.tasks.size(); ++t) {
-        const TaskSpec& task = doc.tasks[t];
-        SCOPED_TRACE(task.prefix);
-        const exec::SweepGrid grid = compile_grid(task);
-        std::vector<double> ber;
-        for (std::size_t i = 0; i < grid.size(); ++i) {
-            ber.push_back(statmodel::ber_of(compile_point_model(
-                doc.model, task.axes, grid.point(i, ctx.seed))));
-        }
-        std::vector<std::pair<std::string, std::vector<double>>> want = {
-            {"ber", ber}};
-        if (task.has_jtol) {
-            std::vector<double> tol;
-            for (const masks::MaskPoint& pt : statmodel::jtol_curve(
-                     doc.model, task.jtol.freqs, kPaperRate,
-                     task.jtol.ber_target)) {
-                tol.push_back(pt.amp_uipp);
-            }
-            want.emplace_back("jtol_uipp", tol);
-        }
-        EXPECT_EQ(result.tasks[t].series, want);
+        SCOPED_TRACE(doc.tasks[t].prefix);
+        expect_same_bits(result.tasks[t].series, fresh[t]);
     }
 
     // The models the tasks built before they shared one: one per surface
     // at its first point and one per contour. Sharing builds the base
     // PDFs once for fig9, its contour and fig10, once for fig17, and once
     // for offset_jtol and its contour.
-    const std::uint64_t fresh = convolve_spans([&] {
+    const std::uint64_t fresh_spans = convolve_spans([&] {
         for (const TaskSpec& task : doc.tasks) {
             const exec::SweepGrid grid = compile_grid(task);
             (void)statmodel::GatedOscStatModel(compile_point_model(
@@ -752,7 +795,30 @@ TEST(ScenarioRun, SurfacesShareEdgePdfsBitForBit) {
         }
     });
     EXPECT_GT(shared, 0u);
-    EXPECT_EQ(2 * shared, fresh);
+    EXPECT_EQ(2 * shared, fresh_spans);
+
+    // The committed Fig 10 and Fig 17 documents replace mains that
+    // evaluated ber_of at every point: each series, at 1 and 4 lanes.
+    for (const char* file :
+         {"fig10_ber_freqoff.json", "fig17_ber_improved.json"}) {
+        const ScenarioDoc fig = load_golden(file);
+        const std::vector<Series> want = fresh_model_series(fig, 1);
+        for (std::size_t lanes : {1, 4}) {
+            obs::MetricsRegistry fig_reg;
+            exec::ThreadPool fig_pool(lanes);
+            ScenarioContext fig_ctx;
+            fig_ctx.metrics = &fig_reg;
+            fig_ctx.pool = &fig_pool;
+            fig_ctx.seed = 1;
+            const ScenarioResult got = run_scenario(fig, fig_ctx);
+            ASSERT_EQ(got.tasks.size(), fig.tasks.size());
+            for (std::size_t t = 0; t < fig.tasks.size(); ++t) {
+                SCOPED_TRACE(std::string(file) + " " + fig.tasks[t].prefix +
+                             " at " + std::to_string(lanes) + " lane(s)");
+                expect_same_bits(got.tasks[t].series, want[t]);
+            }
+        }
+    }
 }
 
 // --- fuzzer --------------------------------------------------------------

@@ -5,6 +5,7 @@
 // and the HTTP daemon end to end (serve/server.hpp).
 
 #include <gtest/gtest.h>
+#include <pthread.h>
 
 #include <atomic>
 #include <cctype>
@@ -813,6 +814,53 @@ TEST(JobExecutorTest, PreExpiredSingleJobSkipsCompute) {
     const ExecOutcome out = executor.execute(job, pool);
     EXPECT_EQ(out.status, JobStatus::kExpired);
     EXPECT_EQ(cache.stats().entries, 0u);
+}
+
+// --- HTTP server ----------------------------------------------------------
+
+/// VmSize from /proc/self/status, in bytes (0 when unreadable).
+std::uint64_t vm_size_bytes() {
+    std::ifstream in("/proc/self/status");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("VmSize:", 0) == 0) {
+            return std::stoull(line.substr(7)) * 1024;
+        }
+    }
+    return 0;
+}
+
+TEST(HttpServerTest, SequentialConnectionsReleaseTheirThreads) {
+    // One connection at a time, each closed by the client: a server that
+    // keeps every ended connection's thread unjoined keeps its stack
+    // mapped, and VmSize grows by one stack per connection.
+    HttpServer server;
+    ASSERT_TRUE(server.start(0, [](const HttpRequest&, HttpExchange& ex) {
+        ex.respond(200, "{}");
+    }));
+    auto one_connection = [&] {
+        HttpClient client("127.0.0.1", server.port());
+        HttpClient::Response resp;
+        return client.get("/", resp) && resp.status == 200;
+    };
+    // Warm up the allocator arenas and the thread-stack cache first.
+    for (int i = 0; i < 20; ++i) ASSERT_TRUE(one_connection());
+    const std::uint64_t before = vm_size_bytes();
+    ASSERT_GT(before, 0u) << "no VmSize in /proc/self/status";
+    constexpr int kConnections = 300;
+    for (int i = 0; i < kConnections; ++i) ASSERT_TRUE(one_connection());
+    const std::uint64_t after = vm_size_bytes();
+    server.stop();
+
+    pthread_attr_t attr;
+    ASSERT_EQ(pthread_attr_init(&attr), 0);
+    std::size_t stack = 0;
+    ASSERT_EQ(pthread_attr_getstacksize(&attr, &stack), 0);
+    pthread_attr_destroy(&attr);
+    const std::uint64_t growth = after > before ? after - before : 0;
+    EXPECT_LT(growth, kConnections * stack / 8)
+        << "VmSize " << before << " -> " << after << " bytes over "
+        << kConnections << " connections (thread stack " << stack << ")";
 }
 
 // --- HTTP daemon end to end ----------------------------------------------

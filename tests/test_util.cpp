@@ -431,8 +431,8 @@ TEST(Fft, NextPow2GuardsAgainstOverflow) {
         (std::numeric_limits<std::size_t>::max() >> 1) + 1;
     EXPECT_EQ(next_pow2(kTop), kTop);
     EXPECT_EQ(next_pow2(kTop - 5), kTop);
-    EXPECT_THROW(next_pow2(kTop + 1), std::overflow_error);
-    EXPECT_THROW(next_pow2(std::numeric_limits<std::size_t>::max()),
+    EXPECT_THROW((void)next_pow2(kTop + 1), std::overflow_error);
+    EXPECT_THROW((void)next_pow2(std::numeric_limits<std::size_t>::max()),
                  std::overflow_error);
 }
 
@@ -476,10 +476,10 @@ TEST(Fft, ConvolutionMatchesDirect) {
 TEST(Fft, ConvolveRejectsEmptyInputs) {
     // Empty operands used to fall through to a.size() + b.size() - 1
     // arithmetic; now both convolvers reject them loudly.
-    EXPECT_THROW(convolve_fft({}, {1.0}), std::invalid_argument);
-    EXPECT_THROW(convolve_fft({1.0}, {}), std::invalid_argument);
-    EXPECT_THROW(convolve_direct({1.0}, {}), std::invalid_argument);
-    EXPECT_THROW(convolve_direct({}, {1.0}), std::invalid_argument);
+    EXPECT_THROW((void)convolve_fft({}, {1.0}), std::invalid_argument);
+    EXPECT_THROW((void)convolve_fft({1.0}, {}), std::invalid_argument);
+    EXPECT_THROW((void)convolve_direct({1.0}, {}), std::invalid_argument);
+    EXPECT_THROW((void)convolve_direct({}, {1.0}), std::invalid_argument);
 }
 
 TEST(Fft, ConvolveCrossCheckOddAndPrimeLengths) {
