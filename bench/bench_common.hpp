@@ -2,7 +2,7 @@
 // Shared CLI + formatting + telemetry plumbing for the figure/table
 // reproduction benches.
 //
-// Every bench that takes (argc, argv) supports:
+// Every bench that parses Options supports:
 //   --json <path>   write a BENCH report (obs::write_run_report schema,
 //                   see DESIGN.md "Telemetry") with the run's metrics
 //   --quiet         suppress the human-readable tables; telemetry only
@@ -16,10 +16,6 @@
 //                   end — open in chrome://tracing or ui.perfetto.dev.
 //                   --trace=FILE also accepted. A per-span summary is
 //                   folded into the --json report's "spans" object.
-//   --flight-recorder
-//                   create an obs::FlightRecorder (dumps in the current
-//                   directory) that benches wire into their receivers /
-//                   margin models via RunReport::flight()
 //   --log-level L   structured-logger threshold (trace|debug|info|warn|
 //                   error|off); default info
 //   --log-json FILE route structured log records to an append-mode JSONL
@@ -29,13 +25,12 @@
 //   --metrics-out FILE
 //                   write the final metrics snapshot in Prometheus text
 //                   exposition format (obs::to_prometheus)
-//   --scenario FILE declarative gcdr.scenario/v1 config; bench_scenario
-//                   compiles and runs it, and the file + canonical config
-//                   hash are recorded in the report's "run" object
 // Unrecognized arguments are left in argv for the bench's own flags; an
-// argument that neither reads ends the run through unknown_flag(). Every
-// integer flag value goes through uint_flag(): a missing, non-decimal or
-// out-of-range value exits 2 naming the flag.
+// argument that neither reads ends the run through unknown_flag(). A flag
+// only some benches read is theirs alone: bench_scenario parses
+// --scenario FILE, and bench_scenario and bench_xval_ber parse
+// --flight-recorder. Every integer flag value goes through uint_flag(): a
+// missing, non-decimal or out-of-range value exits 2 naming the flag.
 // Both --threads and --seed are recorded in the report's "run" object.
 
 #include <chrono>
@@ -49,7 +44,6 @@
 #include <thread>
 
 #include "exec/thread_pool.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/process_stats.hpp"
@@ -92,18 +86,12 @@ struct Options {
     std::uint64_t seed = 1;
     /// Chrome trace output path; empty = span profiling disabled.
     std::string trace_path;
-    /// Create a FlightRecorder for the run (RunReport::flight()).
-    bool flight_recorder = false;
     /// Prometheus text-exposition output path; empty = not requested.
     std::string metrics_out_path;
     /// JSONL log-sink path; empty = stderr text only.
     std::string log_json_path;
     /// Live progress reporting (obs::ProgressReporter); default off.
     bool progress = false;
-    /// Declarative scenario config (gcdr.scenario/v1 JSON). Parsed here
-    /// so every bench built on this layer accepts it; bench_scenario is
-    /// the generic runner, and scenario-aware benches may consult it.
-    std::string scenario_path;
 
     /// Strip the flags this layer owns out of (argc, argv). Also applies
     /// the global observability toggles (log level/sink, progress) so
@@ -127,8 +115,6 @@ struct Options {
                 opts.trace_path = argv[++i];
             } else if (std::strncmp(argv[i], "--trace=", 8) == 0) {
                 opts.trace_path = argv[i] + 8;
-            } else if (std::strcmp(argv[i], "--flight-recorder") == 0) {
-                opts.flight_recorder = true;
             } else if (std::strcmp(argv[i], "--metrics-out") == 0 &&
                        i + 1 < argc) {
                 opts.metrics_out_path = argv[++i];
@@ -146,9 +132,6 @@ struct Options {
                 }
             } else if (std::strcmp(argv[i], "--progress") == 0) {
                 opts.progress = true;
-            } else if (std::strcmp(argv[i], "--scenario") == 0 &&
-                       i + 1 < argc) {
-                opts.scenario_path = argv[++i];
             } else {
                 argv[out++] = argv[i];
             }
@@ -196,17 +179,6 @@ public:
     [[nodiscard]] bool quiet() const { return opts_.quiet; }
     [[nodiscard]] std::uint64_t seed() const { return opts_.seed; }
     [[nodiscard]] bool tracing() const { return !opts_.trace_path.empty(); }
-
-    /// The run's flight recorder: non-null when --flight-recorder was
-    /// given (also created lazily by an explicit call in tests/benches
-    /// that force it). Benches pass this to MultiChannelCdr /
-    /// BehavioralMarginModel.
-    [[nodiscard]] obs::FlightRecorder* flight() {
-        if (!flight_ && opts_.flight_recorder) {
-            flight_ = std::make_unique<obs::FlightRecorder>();
-        }
-        return flight_.get();
-    }
 
     /// Record a gcdr.health/v1 snapshot (a scenario's health_probe task
     /// produces it); write() embeds it as the report's "health" block.
@@ -299,7 +271,6 @@ private:
     std::string scenario_hash_;
     obs::MetricsRegistry registry_;
     std::unique_ptr<exec::ThreadPool> pool_;
-    std::unique_ptr<obs::FlightRecorder> flight_;
     std::string health_json_;
     std::unique_ptr<obs::TraceSpan> run_span_;
     std::chrono::steady_clock::time_point t0_;

@@ -14,7 +14,7 @@
 
 #include "bench_common.hpp"
 #include "cdr/channel.hpp"
-#include "sim/trace.hpp"
+#include "sim/vcd.hpp"
 
 using namespace gcdr;
 
@@ -29,13 +29,13 @@ int main(int argc, char** argv) {
     cfg.edge_detector.cell_jitter_rel = 0.0;
     cdr::GccoChannel ch(sched, rng, cfg);
 
-    sim::Tracer tracer;
-    tracer.watch(ch.din());
-    tracer.watch(ch.edge_detector().edet());
-    tracer.watch(ch.edge_detector().ddin());
-    tracer.watch(ch.gcco().stage(0));
-    tracer.watch(ch.gcco().stage(3));
-    tracer.watch(ch.gcco().ckout());
+    sim::VcdWriter vcd;
+    vcd.watch(ch.din());
+    vcd.watch(ch.edge_detector().edet());
+    vcd.watch(ch.edge_detector().ddin());
+    vcd.watch(ch.gcco().stage(0));
+    vcd.watch(ch.gcco().stage(3));
+    vcd.watch(ch.gcco().ckout());
 
     const std::vector<bool> bits{1, 1, 0, 0, 1, 0, 1, 1, 1, 1, 0, 1};
     jitter::StreamParams sp;
@@ -49,11 +49,9 @@ int main(int argc, char** argv) {
     bench::section(
         "waveforms (window: 2 UI before the first edge .. bit 12)");
     std::printf("%s\n",
-                tracer
-                    .ascii_diagram(SimTime::ns(4) - SimTime::ps(800),
-                                   SimTime::ns(4) +
-                                       kPaperRate.ui_to_time(12),
-                                   112)
+                vcd.ascii_diagram(SimTime::ns(4) - SimTime::ps(800),
+                                  SimTime::ns(4) + kPaperRate.ui_to_time(12),
+                                  112)
                     .c_str());
     std::printf(
         "Reading the diagram (as in Fig 8): EDET drops for tau after "
@@ -63,8 +61,8 @@ int main(int argc, char** argv) {
 
     bench::section(
         "recovered-clock rise after each EDET release (expected: T/2)");
-    const auto rises = tracer.edges_of("ch0_gcco_ckout", true);
-    const auto releases = tracer.edges_of("ch0_ed_edet", true);
+    const auto rises = vcd.edges_of("ch0_gcco_ckout", true);
+    const auto releases = vcd.edges_of("ch0_ed_edet", true);
     std::printf("%18s %16s %12s\n", "EDET release [ps]", "CK rise [ps]",
                 "delta [UI]");
     for (SimTime rel : releases) {

@@ -15,11 +15,16 @@
 // is identical for every --threads value.
 //
 // --check exits nonzero when any task gate fails (differential
-// disagreement, unlocked netlist channel).
+// disagreement, unlocked netlist channel). --flight-recorder creates an
+// obs::FlightRecorder (dumps in the current directory) for the tasks'
+// receivers and margin models.
 // Validation failures print every diagnostic (file:line:col) and exit 2.
 
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -27,6 +32,7 @@
 
 #include "bench_common.hpp"
 #include "masks/jtol_mask.hpp"
+#include "obs/flight_recorder.hpp"
 #include "scenario/compile.hpp"
 #include "scenario/fuzz.hpp"
 #include "scenario/run.hpp"
@@ -52,8 +58,24 @@ std::string format_g(double v) {
     return buf;
 }
 
-// Rows are axis 0, columns the remaining axes in row-major order
-// (headed by their values when there is exactly one).
+// The fewest decimals at which %f gives every value back exactly, so a
+// header never prints 0.125 as 0.12.
+int round_trip_decimals(const std::vector<double>& values) {
+    for (int d = 0; d < 17; ++d) {
+        const bool exact =
+            std::all_of(values.begin(), values.end(), [d](double v) {
+                char buf[400];
+                std::snprintf(buf, sizeof buf, "%.*f", d, v);
+                return std::strtod(buf, nullptr) == v;
+            });
+        if (exact) return d;
+    }
+    return 17;
+}
+
+// Rows are axis 0, columns the remaining axes in row-major order. Each
+// column axis heads the columns with its own row of values, in the
+// title's order; the last header row carries the row axis's label.
 void print_surface(const scenario::TaskSpec& task,
                    const scenario::TaskResult& r) {
     const std::vector<double>& ber = series(r, "ber");
@@ -66,12 +88,21 @@ void print_surface(const scenario::TaskSpec& task,
     }
     bench::section(title + ")");
     // The normalized SJ frequency keeps the JTOL tables' "f/fd" label.
-    std::printf("%10s", rows.name == "sj_freq_norm" ? "f/fd"
-                                                    : rows.name.c_str());
-    if (task.axes.size() == 2) {
-        for (double v : task.axes[1].values) std::printf(" %6.2f", v);
+    const char* row_label =
+        rows.name == "sj_freq_norm" ? "f/fd" : rows.name.c_str();
+    if (task.axes.size() == 1) std::printf("%10s\n", row_label);
+    std::size_t stride = cols;  // columns per step of axis a
+    for (std::size_t a = 1; a < task.axes.size(); ++a) {
+        const std::vector<double>& values = task.axes[a].values;
+        stride /= values.size();
+        const int decimals = round_trip_decimals(values);
+        std::printf("%10s", a + 1 == task.axes.size() ? row_label : "");
+        for (std::size_t c = 0; c < cols; ++c) {
+            std::printf(" %6.*f", decimals,
+                        values[(c / stride) % values.size()]);
+        }
+        std::printf("\n");
     }
-    std::printf("\n");
     for (std::size_t i = 0; i < rows.values.size(); ++i) {
         std::printf("%10.2e", rows.values[i]);
         for (std::size_t c = 0; c < cols; ++c) {
@@ -156,12 +187,18 @@ void print_tables(const scenario::TaskSpec& task,
 
 int main(int argc, char** argv) {
     auto opts = bench::Options::parse(argc, argv);
+    std::string scenario_path;
+    bool flight_recorder = false;
     bool check = false;
     bool print_resolved = false;
     bool have_fuzz_seed = false;
     std::uint64_t fuzz_seed = 0;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--check") == 0) {
+        if (std::strcmp(argv[i], "--scenario") == 0 && i + 1 < argc) {
+            scenario_path = argv[++i];
+        } else if (std::strcmp(argv[i], "--flight-recorder") == 0) {
+            flight_recorder = true;
+        } else if (std::strcmp(argv[i], "--check") == 0) {
             check = true;
         } else if (std::strcmp(argv[i], "--print-resolved") == 0) {
             print_resolved = true;
@@ -172,10 +209,11 @@ int main(int argc, char** argv) {
             return bench::unknown_flag(argv[i]);
         }
     }
-    if (opts.scenario_path.empty() && !have_fuzz_seed) {
+    if (scenario_path.empty() && !have_fuzz_seed) {
         std::fprintf(stderr,
                      "usage: bench_scenario --scenario FILE [--check] "
-                     "[--print-resolved] | --fuzz-seed N\n");
+                     "[--print-resolved] [--flight-recorder] | "
+                     "--fuzz-seed N\n");
         return 2;
     }
 
@@ -186,8 +224,7 @@ int main(int argc, char** argv) {
         source_name = "<fuzz:" + std::to_string(fuzz_seed) + ">";
     } else {
         std::vector<scenario::Diagnostic> diags;
-        if (!scenario::scenario_from_file(opts.scenario_path, doc,
-                                          diags)) {
+        if (!scenario::scenario_from_file(scenario_path, doc, diags)) {
             for (const auto& d : diags) {
                 std::fprintf(stderr, "%s\n", d.render().c_str());
             }
@@ -195,7 +232,7 @@ int main(int argc, char** argv) {
                          diags.size());
             return 2;
         }
-        source_name = opts.scenario_path;
+        source_name = scenario_path;
     }
     const std::uint64_t hash = scenario::scenario_hash(doc);
     const std::string hash_hex = util::hash_hex(hash);
@@ -220,12 +257,14 @@ int main(int argc, char** argv) {
                      static_cast<unsigned long long>(report.seed()));
     }
 
+    std::unique_ptr<obs::FlightRecorder> flight;
+    if (flight_recorder) flight = std::make_unique<obs::FlightRecorder>();
     scenario::ScenarioContext ctx;
     ctx.metrics = &reg;
     ctx.pool = &pool;
     ctx.seed = report.seed();
     ctx.verbose = !opts.quiet;
-    ctx.flight = report.flight();
+    ctx.flight = flight.get();
     const scenario::ScenarioResult result =
         scenario::run_scenario(doc, ctx);
     for (const auto& t : result.tasks) {

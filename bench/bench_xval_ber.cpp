@@ -22,6 +22,10 @@
 //          contains the statmodel value, rel err <= 0.3) at all four
 //          points — including the two with BER <= 1e-10.
 // --deep   larger budgets + behavioral splitting at sj020.
+// --flight-recorder
+//          every behavioral clone that decodes the wrong bit count dumps
+//          its pool lane's flight ring (obs::FlightRecorder, dumps in the
+//          current directory).
 //
 // Every engine is bit-identical for any --threads value (per-stratum /
 // per-particle seeds derive from --seed; fixed-order merges), so the
@@ -29,6 +33,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -37,6 +42,7 @@
 #include "sim/batch/channel_batch.hpp"
 #include "mc/importance.hpp"
 #include "mc/splitting.hpp"
+#include "obs/flight_recorder.hpp"
 #include "statmodel/gated_osc_model.hpp"
 #include "util/parse_uint.hpp"
 
@@ -90,12 +96,15 @@ std::vector<Point> operating_points() {
 
 int main(int argc, char** argv) {
     auto opts = bench::Options::parse(argc, argv);
+    bool flight_recorder = false;
     bool check = false;
     bool deep = false;
     bool batch = false;
     std::size_t channels = 8;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--check") == 0) {
+        if (std::strcmp(argv[i], "--flight-recorder") == 0) {
+            flight_recorder = true;
+        } else if (std::strcmp(argv[i], "--check") == 0) {
             check = true;
         } else if (std::strcmp(argv[i], "--deep") == 0) {
             deep = true;
@@ -111,6 +120,8 @@ int main(int argc, char** argv) {
     bench::RunReport report(
         opts, "xval_ber",
         "Rare-event MC cross-validation: statmodel vs IS vs splitting");
+    std::unique_ptr<obs::FlightRecorder> flight;
+    if (flight_recorder) flight = std::make_unique<obs::FlightRecorder>();
     auto& reg = report.metrics();
     auto& pool = report.pool();
     if (!opts.quiet) {
@@ -202,7 +213,7 @@ int main(int argc, char** argv) {
         auto bp = mc::BehavioralMarginModel::params_from(pt.cfg);
         // With --flight-recorder, every behavioral clone that decodes the
         // wrong bit count leaves a per-lane post-mortem dump.
-        bp.flight = report.flight();
+        bp.flight = flight.get();
         // --batch routes every margin_ui_batch through the SoA kernel,
         // `channels` clones per batch (bit-identical oracle).
         if (batch) bp.batch_lanes = channels;
@@ -241,7 +252,7 @@ int main(int argc, char** argv) {
     if (deep) {
         const Point& pt = points[1];
         auto bp = mc::BehavioralMarginModel::params_from(pt.cfg);
-        bp.flight = report.flight();
+        bp.flight = flight.get();
         if (batch) bp.batch_lanes = channels;
         mc::BehavioralMarginModel beh(bp);
         mc::SplittingEngine::Config sc;

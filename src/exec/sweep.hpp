@@ -24,9 +24,8 @@
 // each point writes only its own result slot. Results are therefore
 // bit-identical regardless of thread count or scheduling order; only
 // wall-clock changes. Stochastic points must draw exclusively from
-// p.seed (never from a shared RNG), and side effects into shared
-// telemetry should go through per-lane shards (obs::ShardedCounter)
-// keyed by ThreadPool::lane_index().
+// p.seed (never from a shared RNG). Tally shared telemetry once the map
+// returns (one counter add of the point count), not per point.
 
 #include <cstdint>
 #include <string>

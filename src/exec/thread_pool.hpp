@@ -68,7 +68,7 @@ public:
     /// Lane index of the current thread during a parallel_for: 0 for the
     /// calling thread (and any thread outside the pool), 1..size()-1 for
     /// workers. Stable for the lifetime of the pool; use it to index
-    /// per-lane shards (obs::ShardedCounter).
+    /// per-lane state (the MC margin models' flight rings).
     [[nodiscard]] static std::size_t lane_index();
 
     /// Attach telemetry (obs/). Registers under `prefix`:

@@ -1,7 +1,6 @@
 #include "mc/importance.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <memory>
 #include <numbers>
@@ -14,17 +13,24 @@
 
 namespace gcdr::mc {
 
+namespace {
+
+// Draws added to every stratum per adaptive round.
+constexpr std::uint64_t kSamplesPerStratumRound = 4096;
+// SJ phase strata per run length (1 when the config has no SJ).
+constexpr int kPhaseBins = 8;
+
+}  // namespace
+
 ImportanceSampler::ImportanceSampler(const AnalyticMarginModel& model,
                                      Config cfg,
                                      obs::MetricsRegistry* metrics)
     : model_(&model), cfg_(cfg), metrics_(metrics) {
-    assert(cfg_.samples_per_stratum_round > 0);
-    assert(cfg_.phase_bins >= 1);
     pmf_ = statmodel::run_length_probs(model.max_run_length());
     mean_len_ = statmodel::mean_run_length(pmf_);
     const bool has_sj = model.config().spec.sj_uipp > 0.0 &&
                         model.config().sj_freq_norm > 0.0;
-    bins_ = has_sj ? cfg_.phase_bins : 1;
+    bins_ = has_sj ? kPhaseBins : 1;
     build_strata();
 }
 
@@ -166,8 +172,7 @@ McEstimate ImportanceSampler::assemble(
 
 McEstimate ImportanceSampler::estimate(exec::ThreadPool& pool) const {
     const std::size_t n_strata = strata_.size();
-    const std::uint64_t round_evals =
-        cfg_.samples_per_stratum_round * n_strata;
+    const std::uint64_t round_evals = kSamplesPerStratumRound * n_strata;
     std::vector<WeightedTally> cum(n_strata);
     std::uint64_t total = 0;
     McEstimate est;
@@ -186,8 +191,7 @@ McEstimate ImportanceSampler::estimate(exec::ThreadPool& pool) const {
         pool.parallel_for(n_strata, [&](std::size_t s) {
             const std::uint64_t seed = exec::derive_seed(
                 cfg_.budget.base_seed, round * n_strata + s);
-            sample_stratum(strata_[s], seed,
-                           cfg_.samples_per_stratum_round,
+            sample_stratum(strata_[s], seed, kSamplesPerStratumRound,
                            round_tallies[s]);
         });
         for (std::size_t s = 0; s < n_strata; ++s) {

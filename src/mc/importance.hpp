@@ -38,10 +38,6 @@ class ImportanceSampler {
 public:
     struct Config {
         McBudget budget;
-        /// Draws added to every stratum per adaptive round.
-        std::uint64_t samples_per_stratum_round = 4096;
-        /// SJ phase strata per run length (1 when the config has no SJ).
-        int phase_bins = 8;
     };
 
     ImportanceSampler(const AnalyticMarginModel& model, Config cfg,

@@ -15,6 +15,18 @@
 
 namespace gcdr::mc {
 
+namespace {
+
+// Clean alternating toggles ahead of every behavioral run, to start the
+// oscillator. Even, so the warmup ends on the low level and the run opens
+// with a real triggering transition.
+constexpr int kWarmupBits = 12;
+
+// Causal-tracer ring of one flight-recorded evaluation.
+constexpr std::size_t kFlightTracerCapacity = 1024;
+
+}  // namespace
+
 void MarginModel::margin_ui_batch(const RunSample* samples, std::size_t n,
                                   double* out) const {
     for (std::size_t i = 0; i < n; ++i) out[i] = margin_ui(samples[i]);
@@ -73,10 +85,6 @@ double AnalyticMarginModel::margin_ui(const RunSample& s) const {
 BehavioralMarginModel::BehavioralMarginModel(Params p)
     : params_(std::move(p)) {
     assert(params_.max_cid >= 1);
-    assert(params_.warmup_bits >= 2);
-    // An even warmup ends on the low level, so the run always opens with
-    // a real triggering transition.
-    if (params_.warmup_bits % 2 != 0) ++params_.warmup_bits;
 }
 
 BehavioralMarginModel::Params BehavioralMarginModel::params_from(
@@ -98,7 +106,7 @@ std::vector<jitter::Edge> BehavioralMarginModel::build_edges(
     const RunSample& s, int L) const {
     const LinkRate rate = params_.channel.rate;
     const double ui_s = rate.ui_seconds();
-    const int w = params_.warmup_bits;
+    const int w = kWarmupBits;
 
     // Pattern: w alternating warmup bits (1,0,...,1,0), the run of L high
     // bits, one low closing bit. Transitions fall on every warmup
@@ -151,7 +159,7 @@ double BehavioralMarginModel::resolve_margin(
     // unwrap maps errors deeper than ~half a period back into the healthy
     // band.
     const auto expected =
-        static_cast<std::uint64_t>(params_.warmup_bits / 2 + L);
+        static_cast<std::uint64_t>(kWarmupBits / 2 + L);
     const bool error = ones != expected;
     // The closing edge is the last DDIN transition, so its measured margin
     // is the final entry: continuous through 0 for near misses (the
@@ -183,8 +191,7 @@ double BehavioralMarginModel::margin_ui(const RunSample& s) const {
     if (params_.flight) {
         ring = &params_.flight->ring(
             "mc.lane" + std::to_string(exec::ThreadPool::lane_index()));
-        tracer =
-            std::make_unique<obs::CausalTracer>(params_.flight_tracer_capacity);
+        tracer = std::make_unique<obs::CausalTracer>(kFlightTracerCapacity);
         sched.attach_tracer(tracer.get());
         ring->set_tracer(tracer.get());
         ch.record_flight(*ring);
@@ -202,7 +209,7 @@ double BehavioralMarginModel::margin_ui(const RunSample& s) const {
     for (const auto& d : ch.decisions()) ones += d.bit ? 1u : 0u;
     if (ring) {
         const auto expected =
-            static_cast<std::uint64_t>(params_.warmup_bits / 2 + L);
+            static_cast<std::uint64_t>(kWarmupBits / 2 + L);
         // Dump while this evaluation's tracer is still alive, then detach
         // it — the ring outlives the eval, the tracer does not. Only this
         // lane's ring is dumped: the other lanes' rings and tracers are

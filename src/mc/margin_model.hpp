@@ -106,7 +106,6 @@ public:
         jitter::JitterSpec spec;   ///< DJ/RJ/SJ budget applied to the run
         double sj_freq_norm = 0.0;
         int max_cid = 5;
-        int warmup_bits = 12;
         /// Optional post-mortem sink: every evaluation records its channel
         /// events (with causal ids) into the ring "mc.lane<k>" for the
         /// executing pool lane, and an evaluation whose recovered-bit
@@ -115,7 +114,6 @@ public:
         /// clone leaves a walkable trace, however many lanes run. nullptr
         /// (the default) costs nothing.
         obs::FlightRecorder* flight = nullptr;
-        std::size_t flight_tracer_capacity = 1024;
         /// > 1: margin_ui_batch() evaluates clones on the batched SoA
         /// kernel (sim/batch/ChannelBatch), this many lanes per batch.
         /// 0/1 keeps the scalar one-Scheduler-per-eval path.

@@ -23,6 +23,17 @@ constexpr std::uint64_t kLevelStride = 1ull << 32;
 // every chain's draws and accepts are its own.
 constexpr std::size_t kChainBlock = 16;
 
+// Survivor fraction per level.
+constexpr double kP0 = 0.1;
+
+// Starting pCN autocorrelation (0 = independent, 1 = frozen). The step
+// size is re-tuned between levels toward ~0.44 acceptance (adaptive
+// conditional sampling), so this only seeds level 1.
+constexpr double kPcnRho = 0.85;
+
+// Safety net against non-progressing chains.
+constexpr int kMaxLevels = 40;
+
 double std_normal_cdf(double z) {
     return 0.5 * std::erfc(-z / std::sqrt(2.0));
 }
@@ -39,8 +50,6 @@ SplittingEngine::SplittingEngine(const MarginModel& model, Config cfg,
                                  obs::MetricsRegistry* metrics)
     : model_(&model), cfg_(cfg), metrics_(metrics) {
     assert(cfg_.n_particles >= 8);
-    assert(cfg_.p0 > 0.0 && cfg_.p0 < 1.0);
-    assert(cfg_.pcn_rho >= 0.0 && cfg_.pcn_rho < 1.0);
     pmf_ = statmodel::run_length_probs(model.max_run_length());
     mean_len_ = statmodel::mean_run_length(pmf_);
 }
@@ -71,7 +80,7 @@ McEstimate SplittingEngine::estimate(exec::ThreadPool& pool) const {
     obs::TraceSpan span("mc.split");
     const std::size_t n = cfg_.n_particles;
     const std::size_t ns = std::max<std::size_t>(
-        1, static_cast<std::size_t>(cfg_.p0 * static_cast<double>(n)));
+        1, static_cast<std::size_t>(kP0 * static_cast<double>(n)));
     const std::size_t chain_len = (n + ns - 1) / ns;  // ceil(n / ns)
 
     McEstimate est;
@@ -115,9 +124,9 @@ McEstimate SplittingEngine::estimate(exec::ThreadPool& pool) const {
     double final_fraction = 0.0;
     double final_gamma = 0.0;
     bool reached = false;
-    // pCN step size; cfg_.pcn_rho sets the starting correlation and the
+    // pCN step size; kPcnRho sets the starting correlation and the
     // acceptance-rate feedback below re-tunes it between levels.
-    double beta = std::sqrt(1.0 - cfg_.pcn_rho * cfg_.pcn_rho);
+    double beta = std::sqrt(1.0 - kPcnRho * kPcnRho);
     int level = 0;
     // Opt-in live progress against the eval budget; the run usually ends
     // well short of it (on reaching the target set), so finish() stamps
@@ -187,7 +196,7 @@ McEstimate SplittingEngine::estimate(exec::ThreadPool& pool) const {
             reached = true;
             break;
         }
-        if (level >= cfg_.max_levels ||
+        if (level >= kMaxLevels ||
             total + level_evals > cfg_.budget.max_evals) {
             final_fraction =
                 static_cast<double>(n_target) / static_cast<double>(n);

@@ -48,12 +48,6 @@ public:
     struct Config {
         McBudget budget;  ///< max_evals caps total margin evaluations
         std::size_t n_particles = 1024;
-        double p0 = 0.1;        ///< survivor fraction per level
-        /// Starting pCN autocorrelation (0 = indep, 1 = frozen). The step
-        /// size is re-tuned between levels toward ~0.44 acceptance
-        /// (adaptive conditional sampling), so this only seeds level 1.
-        double pcn_rho = 0.85;
-        int max_levels = 40;    ///< safety net against non-progressing chains
     };
 
     SplittingEngine(const MarginModel& model, Config cfg,

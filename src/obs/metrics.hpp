@@ -18,9 +18,8 @@
 // mutex-guarded, so instrumented code may run concurrently on a
 // ThreadPool. Exporters (write_json/to_csv) and multi-field reads are
 // snapshot-consistent only when writers are quiescent — take snapshots
-// after parallel_for returns. For per-point tallies on hot sweep loops
-// prefer obs::ShardedCounter (obs/sharded.hpp): one cache line per lane,
-// merged once per sweep, instead of a contended atomic per point.
+// after parallel_for returns. Per-point tallies of a sweep are best added
+// once after it returns, not as a contended atomic per point.
 
 #include <array>
 #include <atomic>

@@ -18,7 +18,6 @@
 #include "mc/margin_model.hpp"
 #include "obs/canonical.hpp"
 #include "obs/health/health_monitor.hpp"
-#include "obs/sharded.hpp"
 #include "scenario/compile.hpp"
 #include "statmodel/gated_osc_model.hpp"
 #include "util/rng.hpp"
@@ -50,9 +49,9 @@ private:
 };
 
 // --- ber_surface ---------------------------------------------------------
-// Fig 9: one SweepRunner map over the grid (ShardedCounter on
-// <prefix>.ber_evals), histograms recorded serially in row-major order
-// afterwards, then one jtol_curve parallel_for over the contour
+// Fig 9: one SweepRunner map over the grid (<prefix>.ber_evals gains the
+// grid size once it returns), histograms recorded serially in row-major
+// order afterwards, then one jtol_curve parallel_for over the contour
 // frequencies. Two pool jobs total. The map reads the slot's model for
 // the grid's first point: every point whose axes leave the edge PDFs
 // alone (SJ, offset, mismatch) reuses its PDFs, bit-identically. The
@@ -73,7 +72,6 @@ TaskResult run_ber_surface(const ScenarioDoc& doc, const TaskSpec& task,
     const exec::SweepGrid grid = compile_grid(task);
     const exec::SweepRunner runner(pool, grid, ctx.seed);
 
-    auto* evals = &reg.counter(task.prefix + ".ber_evals");
     auto* ber_hist = &reg.histogram(task.prefix + ".ber");
     std::vector<double> surface;
     {
@@ -82,13 +80,11 @@ TaskResult run_ber_surface(const ScenarioDoc& doc, const TaskSpec& task,
             grid.size() > 0
                 ? compile_point_model(base, task.axes, grid.point(0, ctx.seed))
                 : base);
-        obs::ShardedCounter eval_shards(*evals, pool.size());
         surface = runner.map<double>([&](const exec::SweepPoint& p) {
-            eval_shards.inc(exec::ThreadPool::lane_index());
             return model.ber_at(compile_point_model(base, task.axes, p));
         });
-        eval_shards.flush();
     }
+    reg.counter(task.prefix + ".ber_evals").inc(surface.size());
     for (double ber : surface) ber_hist->record(ber);
     result.series.emplace_back("ber", surface);
     result.scalars.emplace_back("grid_points",

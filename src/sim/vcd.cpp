@@ -4,8 +4,16 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 
 namespace gcdr::sim {
+
+namespace {
+
+// VCD timescale: 1 ps, the paper's VHDL resolution.
+constexpr std::int64_t kTimescaleFs = 1000;
+
+}  // namespace
 
 void VcdWriter::watch(Wire& w) {
     const std::size_t idx = names_.size();
@@ -40,7 +48,7 @@ void VcdWriter::set_max_changes(std::size_t n) {
     std::vector<Change> ordered;
     ordered.reserve(changes_.size());
     for (std::size_t i = 0; i < changes_.size(); ++i) {
-        ordered.push_back(changes_[(evict_pos_ + i) % changes_.size()]);
+        ordered.push_back(change(i));
     }
     if (n != 0 && ordered.size() > n) {
         const std::size_t drop = ordered.size() - n;
@@ -73,9 +81,7 @@ std::string VcdWriter::render(const std::string& module_name,
     std::vector<bool> state = state_in;
     std::vector<Change> window;
     for (std::size_t i = 0; i < changes_.size(); ++i) {
-        const Change& c = max_changes_ == 0
-                              ? changes_[i]
-                              : changes_[(evict_pos_ + i) % changes_.size()];
+        const Change& c = change(i);
         if (c.time_fs < t0_fs) {
             state[c.signal] = c.value;
         } else if (c.time_fs <= t1_fs) {
@@ -85,13 +91,7 @@ std::string VcdWriter::render(const std::string& module_name,
 
     std::ostringstream os;
     os << "$comment gcco-cdr behavioral simulation $end\n";
-    if (timescale_fs_ >= 1'000'000) {
-        os << "$timescale " << timescale_fs_ / 1'000'000 << " ns $end\n";
-    } else if (timescale_fs_ >= 1000) {
-        os << "$timescale " << timescale_fs_ / 1000 << " ps $end\n";
-    } else {
-        os << "$timescale " << timescale_fs_ << " fs $end\n";
-    }
+    os << "$timescale 1 ps $end\n";
     os << "$scope module " << module_name << " $end\n";
     for (std::size_t i = 0; i < names_.size(); ++i) {
         os << "$var wire 1 " << id_of(i) << ' ' << names_[i] << " $end\n";
@@ -104,7 +104,7 @@ std::string VcdWriter::render(const std::string& module_name,
     os << "$end\n";
     std::int64_t last_time = std::numeric_limits<std::int64_t>::min();
     for (const auto& c : window) {
-        const std::int64_t t = c.time_fs / timescale_fs_;
+        const std::int64_t t = c.time_fs / kTimescaleFs;
         if (t != last_time) {
             os << '#' << t << '\n';
             last_time = t;
@@ -140,6 +140,67 @@ bool VcdWriter::write_window(const std::string& path, std::int64_t t0_fs,
     if (!f) return false;
     f << to_string_window(t0_fs, t1_fs, module_name);
     return static_cast<bool>(f);
+}
+
+std::vector<SimTime> VcdWriter::edges_of(const std::string& name,
+                                         bool rising_only) const {
+    // An unknown name must not look like a watched signal that never
+    // toggled: a typo would "pass" with zero edges.
+    const auto it = std::find(names_.begin(), names_.end(), name);
+    if (it == names_.end()) {
+        std::string msg = "VcdWriter::edges_of: signal '" + name +
+                          "' is not watched; watched signals:";
+        for (const auto& n : names_) msg += " '" + n + "'";
+        throw std::invalid_argument(msg);
+    }
+    const auto signal = static_cast<std::size_t>(it - names_.begin());
+    std::vector<SimTime> out;
+    for (std::size_t i = 0; i < changes_.size(); ++i) {
+        const Change& c = change(i);
+        if (c.signal == signal && (!rising_only || c.value)) {
+            out.push_back(SimTime::fs(c.time_fs));
+        }
+    }
+    return out;
+}
+
+std::string VcdWriter::ascii_diagram(SimTime t0, SimTime t1,
+                                     std::size_t columns) const {
+    // One row per signal: the label padded to the longest one plus a
+    // space, then the bins, so every row's time axis starts in the same
+    // column.
+    std::size_t label_width = 0;
+    for (const auto& n : names_) label_width = std::max(label_width, n.size());
+    std::string out;
+    out.reserve(names_.size() * (label_width + 1 + columns + 1));
+    const double span = static_cast<double>((t1 - t0).femtoseconds());
+    for (std::size_t s = 0; s < names_.size(); ++s) {
+        // Reconstruct the level in each time bin from the change list.
+        bool level = initial_[s];
+        std::size_t ci = 0;
+        std::string row(columns, ' ');
+        for (std::size_t col = 0; col < columns; ++col) {
+            const SimTime bin_end =
+                t0 + SimTime{static_cast<std::int64_t>(
+                         span * static_cast<double>(col + 1) /
+                         static_cast<double>(columns))};
+            bool toggled = false;
+            while (ci < changes_.size() &&
+                   change(ci).time_fs <= bin_end.femtoseconds()) {
+                if (change(ci).signal == s) {
+                    level = change(ci).value;
+                    toggled = true;
+                }
+                ++ci;
+            }
+            row[col] = toggled ? '|' : (level ? '#' : '_');
+        }
+        out += names_[s];
+        out.append(label_width + 1 - names_[s].size(), ' ');
+        out += row;
+        out += '\n';
+    }
+    return out;
 }
 
 }  // namespace gcdr::sim

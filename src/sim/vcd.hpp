@@ -1,23 +1,21 @@
 #pragma once
 // IEEE 1364 VCD (value change dump) writer for the behavioral simulation:
-// attach wires, run, then emit a dump readable by GTKWave & co. The
-// behavioral layer replaces the paper's VHDL simulator; this replaces its
-// waveform viewer hookup.
+// attach wires, run, then emit a dump readable by GTKWave & co, or read
+// the recorded changes back (edge times, an ASCII timing diagram for the
+// benches). The behavioral layer replaces the paper's VHDL simulator;
+// this replaces its waveform viewer hookup. The timescale is 1 ps, the
+// paper's VHDL resolution.
 
 #include <string>
 #include <vector>
 
 #include "sim/wire.hpp"
+#include "util/sim_time.hpp"
 
 namespace gcdr::sim {
 
 class VcdWriter {
 public:
-    /// `timescale_fs` sets the VCD timescale unit in femtoseconds
-    /// (default 1 ps, matching the paper's VHDL resolution).
-    explicit VcdWriter(std::int64_t timescale_fs = 1000)
-        : timescale_fs_(timescale_fs) {}
-
     /// Attach a wire; transitions from now on are recorded.
     void watch(Wire& w);
 
@@ -48,6 +46,20 @@ public:
                       std::int64_t t1_fs,
                       const std::string& module_name = "gcco_cdr") const;
 
+    /// Retained change times of one watched signal (named as in the
+    /// dump: spaces become '_'), in time order, optionally rising edges
+    /// only. A watched signal with no changes returns an empty vector; a
+    /// name that was never watched throws std::invalid_argument listing
+    /// the watched signals.
+    [[nodiscard]] std::vector<SimTime> edges_of(const std::string& name,
+                                                bool rising_only = false) const;
+
+    /// ASCII timing diagram over [t0, t1] in `columns` time bins, one row
+    /// per signal: '_' low, '#' high, '|' a bin with a change — a textual
+    /// Fig 8.
+    [[nodiscard]] std::string ascii_diagram(SimTime t0, SimTime t1,
+                                            std::size_t columns = 100) const;
+
     [[nodiscard]] std::size_t signal_count() const { return names_.size(); }
     [[nodiscard]] std::size_t change_count() const { return changes_.size(); }
 
@@ -60,6 +72,11 @@ private:
 
     [[nodiscard]] std::string id_of(std::size_t index) const;
     void record(std::int64_t time_fs, std::size_t signal, bool value);
+    /// The i-th retained change in time order: the ring starts at
+    /// evict_pos_ (0 while unbounded).
+    [[nodiscard]] const Change& change(std::size_t i) const {
+        return changes_[(evict_pos_ + i) % changes_.size()];
+    }
     /// Header + $dumpvars with `state` as the initial values, then every
     /// change in [t0_fs, t1_fs].
     [[nodiscard]] std::string render(const std::string& module_name,
@@ -67,7 +84,6 @@ private:
                                      std::int64_t t0_fs,
                                      std::int64_t t1_fs) const;
 
-    std::int64_t timescale_fs_;
     std::vector<std::string> names_;
     std::vector<bool> initial_;
     std::vector<Change> changes_;

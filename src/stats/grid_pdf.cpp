@@ -11,6 +11,13 @@
 
 namespace gcdr::stats {
 
+namespace {
+
+// gaussian() truncates its support at +/- this many sigma.
+constexpr double kGaussianSigmas = 9.0;
+
+}  // namespace
+
 GridPdf::GridPdf(double x0, double dx, std::vector<double> density)
     : x0_(x0), dx_(dx), density_(std::move(density)) {
     assert(dx_ > 0.0);
@@ -39,8 +46,9 @@ double GridPdf::uniform_bins(double width_pp, double dx) {
     return std::max(1.0, std::round(width_pp / dx) + 1.0);
 }
 
-double GridPdf::gaussian_bins(double sigma, double dx, double n_sigmas) {
-    return sigma > 0.0 ? 2.0 * std::ceil(n_sigmas * sigma / dx) + 1.0 : 1.0;
+double GridPdf::gaussian_bins(double sigma, double dx) {
+    return sigma > 0.0 ? 2.0 * std::ceil(kGaussianSigmas * sigma / dx) + 1.0
+                       : 1.0;
 }
 
 GridPdf GridPdf::dirac(double x, double dx) {
@@ -58,11 +66,10 @@ GridPdf GridPdf::uniform(double width_pp, double dx) {
     return p;
 }
 
-GridPdf GridPdf::gaussian(double sigma, double dx, double n_sigmas) {
+GridPdf GridPdf::gaussian(double sigma, double dx) {
     assert(sigma >= 0.0);
     if (sigma == 0.0) return dirac(0.0, dx);
-    const auto n =
-        static_cast<std::size_t>(gaussian_bins(sigma, dx, n_sigmas));
+    const auto n = static_cast<std::size_t>(gaussian_bins(sigma, dx));
     const std::size_t half_n = n / 2;
     std::vector<double> d(n);
     const double norm = 1.0 / (sigma * std::sqrt(2.0 * std::numbers::pi));

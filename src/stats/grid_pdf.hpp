@@ -38,10 +38,9 @@ public:
     [[nodiscard]] static GridPdf dirac(double x, double dx);
     /// Uniform on [-width/2, +width/2] (DJ with peak-peak `width`).
     [[nodiscard]] static GridPdf uniform(double width_pp, double dx);
-    /// Gaussian, truncated at +/- n_sigmas (default far enough for 1e-16
-    /// tail mass to be represented).
-    [[nodiscard]] static GridPdf gaussian(double sigma, double dx,
-                                          double n_sigmas = 9.0);
+    /// Gaussian, truncated at +/- 9 sigma (far enough for 1e-16 tail mass
+    /// to be represented).
+    [[nodiscard]] static GridPdf gaussian(double sigma, double dx);
     /// Arcsine on [-amp, +amp]: stationary PDF of a sinusoid with amplitude
     /// `amp` (i.e. sinusoidal jitter of peak-peak 2*amp).
     [[nodiscard]] static GridPdf arcsine(double amp, double dx);
@@ -49,12 +48,11 @@ public:
     [[nodiscard]] static GridPdf from_samples(const std::vector<double>& xs,
                                               double dx);
 
-    /// Bins uniform(width_pp, dx) and gaussian(sigma, dx, n_sigmas) hold,
-    /// as doubles so outside input can be bounded before anything is
-    /// allocated (a tiny dx overflows any integer count).
+    /// Bins uniform(width_pp, dx) and gaussian(sigma, dx) hold, as doubles
+    /// so outside input can be bounded before anything is allocated (a
+    /// tiny dx overflows any integer count).
     [[nodiscard]] static double uniform_bins(double width_pp, double dx);
-    [[nodiscard]] static double gaussian_bins(double sigma, double dx,
-                                              double n_sigmas = 9.0);
+    [[nodiscard]] static double gaussian_bins(double sigma, double dx);
 
     [[nodiscard]] bool empty() const { return density_.size() == 0; }
     [[nodiscard]] std::size_t size() const { return density_.size(); }

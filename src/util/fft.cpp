@@ -138,15 +138,10 @@ std::vector<double> convolve_fft(const std::vector<double>& a,
 
 namespace {
 
-/// W doubles in one GCC/Clang vector-extension register; a plain double
-/// at W = 1.
+/// W doubles in one GCC/Clang vector-extension register.
 template <std::size_t W>
 struct Lanes {
     typedef double type __attribute__((vector_size(W * sizeof(double))));
-};
-template <>
-struct Lanes<1> {
-    using type = double;
 };
 
 /// Accumulator registers per output block: 8 x W outputs stay in
@@ -196,8 +191,7 @@ template <std::size_t W>
 // The AVX2 copy exists only on x86 builds whose own vectors are SSE
 // (no -mavx). It enables AVX2 alone, not FMA, and the file is compiled
 // with -ffp-contract=off, so every multiply and add rounds on its own.
-#if GCDR_SIMD_ENABLED && (defined(__x86_64__) || defined(__i386__)) && \
-    !defined(__AVX__)
+#if (defined(__x86_64__) || defined(__i386__)) && !defined(__AVX__)
 #define GCDR_CONVOLVE_AVX2 1
 #else
 #define GCDR_CONVOLVE_AVX2 0

@@ -10,7 +10,7 @@
 //    its sums in registers and adds a[i] * b[k - i] in increasing i, the
 //    order of the naive i-outer loop, so the result has that loop's bits
 //    (for finite inputs) whatever the vector width,
-//  - one template, instantiated at the build's vector width and, on x86
+//  - one template, instantiated at the target's vector width and, on x86
 //    builds without -mavx, again under target("avx2"); the AVX2 copy is
 //    picked once, at the first call, when the CPU has AVX2,
 //  - no fused multiply-add: the AVX2 copy does not enable FMA and the file
@@ -66,7 +66,7 @@ namespace detail {
 using ConvolveKernel = std::vector<double> (*)(const std::vector<double>&,
                                                const std::vector<double>&);
 
-/// The kernel at the build's vector width (simd::width_doubles()).
+/// The kernel at the target's vector width (simd::width_doubles()).
 [[nodiscard]] std::vector<double> convolve_direct_build_width(
     const std::vector<double>& a, const std::vector<double>& b);
 

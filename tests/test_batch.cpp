@@ -7,9 +7,8 @@
 //  - a run reaching t_end in many uneven run_until() steps equals one
 //    call;
 //  - NormalBank streams equal util::Rng::gaussian();
-//  - convolve_direct equals the naive loop bit for bit at this build's
-//    SIMD width (the -DGCDR_SIMD=OFF CI leg reruns this whole file against
-//    the width-1 build, closing the loop from the other side);
+//  - convolve_direct equals the naive loop bit for bit at the target's
+//    SIMD width;
 //  - the batched BehavioralMarginModel oracle returns the same margins as
 //    the scalar one.
 

@@ -2,7 +2,7 @@
 // semantics, JSON export well-formedness and round-trip of expected keys,
 // the bench run-report document with its build provenance and process RSS
 // gauges, and instrumented components reporting exact tallies (Scheduler
-// event counts, Tracer sample cap).
+// event counts, Wire transitions).
 
 #include <gtest/gtest.h>
 
@@ -23,9 +23,7 @@
 #include "obs/metrics.hpp"
 #include "obs/process_stats.hpp"
 #include "obs/report.hpp"
-#include "obs/sharded.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/trace.hpp"
 #include "sim/wire.hpp"
 
 namespace gcdr::obs {
@@ -385,31 +383,6 @@ TEST(Concurrency, RegistryCreationFromManyThreads) {
     EXPECT_EQ(reg.counters().size(), 1u);
 }
 
-TEST(ShardedCounter, MergesLaneTalliesOnFlush) {
-    Counter sink;
-    ShardedCounter shards(sink, 4);
-    shards.inc(0);
-    shards.inc(1, 10);
-    shards.inc(3, 100);
-    EXPECT_EQ(sink.value(), 0u);  // nothing published yet
-    shards.flush();
-    EXPECT_EQ(sink.value(), 111u);
-    shards.flush();  // flush drains: no double counting
-    EXPECT_EQ(sink.value(), 111u);
-    // Out-of-range lane degrades to a direct (atomic) sink increment.
-    shards.inc(99, 5);
-    EXPECT_EQ(sink.value(), 116u);
-}
-
-TEST(ShardedCounter, FlushesOnDestruction) {
-    Counter sink;
-    {
-        ShardedCounter shards(sink, 2);
-        shards.inc(1, 42);
-    }
-    EXPECT_EQ(sink.value(), 42u);
-}
-
 // ---------------------------------------------------------------------------
 // JSON writer + exporters
 
@@ -596,41 +569,6 @@ TEST(InstrumentedWire, CountsCommittedTransitions) {
     w.post_transport(SimTime::ps(30), false);  // no transition: same value
     s.run();
     EXPECT_EQ(reg.counter("wire.d.transitions").value(), 2u);
-}
-
-TEST(TracerCap, DropsAndCountsBeyondMaxSamples) {
-    MetricsRegistry reg;
-    sim::Scheduler s;
-    sim::Wire w(s, "clk", false);
-    sim::Tracer tr;
-    tr.set_max_samples(5);
-    tr.attach_metrics(reg);
-    tr.watch(w);
-    constexpr int kToggles = 20;
-    for (int i = 1; i <= kToggles; ++i) {
-        w.post_transport(SimTime::ps(10 * i), i % 2 == 1);
-    }
-    s.run();
-    EXPECT_EQ(tr.samples().size(), 5u);
-    EXPECT_EQ(tr.dropped_samples(), static_cast<std::uint64_t>(kToggles - 5));
-    EXPECT_EQ(reg.counter("trace.dropped_samples").value(),
-              static_cast<std::uint64_t>(kToggles - 5));
-    EXPECT_EQ(reg.gauge("trace.samples").value(), 5.0);
-    // The kept samples are the earliest ones, still in time order.
-    EXPECT_EQ(tr.samples().back().time, SimTime::ps(50));
-}
-
-TEST(TracerCap, ZeroMeansUnlimited) {
-    sim::Scheduler s;
-    sim::Wire w(s, "d", false);
-    sim::Tracer tr;  // default: no cap
-    tr.watch(w);
-    for (int i = 1; i <= 100; ++i) {
-        w.post_transport(SimTime::ps(i), i % 2 == 1);
-    }
-    s.run();
-    EXPECT_EQ(tr.samples().size(), 100u);
-    EXPECT_EQ(tr.dropped_samples(), 0u);
 }
 
 }  // namespace

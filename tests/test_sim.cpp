@@ -1,5 +1,6 @@
 // Unit tests for the discrete-event kernel: scheduler ordering, VHDL
-// transport-delay semantics on Wire, and the waveform tracer.
+// transport-delay semantics on Wire, and the waveform tracer (the read
+// side of sim::VcdWriter: edge times and the ASCII timing diagram).
 
 #include <gtest/gtest.h>
 
@@ -7,11 +8,12 @@
 #include <array>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "sim/scheduler.hpp"
-#include "sim/trace.hpp"
+#include "sim/vcd.hpp"
 #include "sim/wire.hpp"
 #include "util/rng.hpp"
 
@@ -282,14 +284,14 @@ TEST(Wire, ListenersSeeCommittedValueAtCommitTime) {
 TEST(Tracer, RecordsTransitionsAndEdges) {
     Scheduler s;
     Wire w(s, "clk");
-    Tracer tr;
+    VcdWriter tr;
     tr.watch(w);
     for (int i = 1; i <= 6; ++i) {
         s.schedule_at(SimTime::ps(i * 100),
                       [&w, i] { w.set_now(i % 2 == 1); });
     }
     s.run();
-    EXPECT_EQ(tr.samples().size(), 6u);
+    EXPECT_EQ(tr.change_count(), 6u);
     const auto rising = tr.edges_of("clk", /*rising_only=*/true);
     ASSERT_EQ(rising.size(), 3u);
     EXPECT_EQ(rising[0], SimTime::ps(100));
@@ -298,10 +300,43 @@ TEST(Tracer, RecordsTransitionsAndEdges) {
     EXPECT_EQ(all.size(), 6u);
 }
 
+TEST(Tracer, EdgesOfUnwatchedNameThrows) {
+    Scheduler s;
+    Wire w(s, "clk");
+    VcdWriter tr;
+    tr.watch(w);
+    EXPECT_TRUE(tr.edges_of("clk").empty());  // watched, never toggled
+    try {
+        (void)tr.edges_of("clkk");
+        FAIL() << "an unwatched name must throw";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("'clk'"), std::string::npos)
+            << "the message lists the watched signals: " << e.what();
+    }
+}
+
+TEST(Tracer, EdgesOfBoundedRingAreInTimeOrder) {
+    // Once the ring wraps, its storage order is not time order; edges_of
+    // must walk from the oldest retained change.
+    Scheduler s;
+    Wire w(s, "clk");
+    VcdWriter tr;
+    tr.watch(w);
+    tr.set_max_changes(4);
+    for (int i = 1; i <= 7; ++i) {
+        s.schedule_at(SimTime::ps(i * 10),
+                      [&w, i] { w.set_now(i % 2 == 1); });
+    }
+    s.run();
+    EXPECT_EQ(tr.edges_of("clk"),
+              (std::vector<SimTime>{SimTime::ps(40), SimTime::ps(50),
+                                    SimTime::ps(60), SimTime::ps(70)}));
+}
+
 TEST(Tracer, AsciiDiagramShowsLevels) {
     Scheduler s;
     Wire w(s, "data");
-    Tracer tr;
+    VcdWriter tr;
     tr.watch(w);
     s.schedule_at(SimTime::ps(500), [&] { w.set_now(true); });
     s.run();
@@ -312,16 +347,33 @@ TEST(Tracer, AsciiDiagramShowsLevels) {
     EXPECT_NE(art.find('#'), std::string::npos);
 }
 
-TEST(Tracer, CsvHasHeaderAndRows) {
+TEST(Tracer, AsciiRowsStartInOneColumn) {
+    // Every row's time axis starts in the same column, however long its
+    // label: a row shifted right would draw its edges late.
+    const std::string long_name = "a_much_longer_name";
     Scheduler s;
-    Wire w(s, "x");
-    Tracer tr;
-    tr.watch(w);
-    s.schedule_at(SimTime::ps(250), [&] { w.set_now(true); });
+    Wire a(s, "a");
+    Wire b(s, long_name);
+    VcdWriter tr;
+    tr.watch(a);
+    tr.watch(b);
+    s.schedule_at(SimTime::ps(500), [&] {
+        a.set_now(true);
+        b.set_now(true);
+    });
     s.run();
-    const auto csv = tr.to_csv();
-    EXPECT_NE(csv.find("time_ps,wire,value"), std::string::npos);
-    EXPECT_NE(csv.find("250,x,1"), std::string::npos);
+    const auto art = tr.ascii_diagram(SimTime::ps(0), SimTime::ps(1000), 10);
+    const auto nl = art.find('\n');
+    ASSERT_NE(nl, std::string::npos);
+    const std::string row_a = art.substr(0, nl);
+    const std::string row_b = art.substr(nl + 1, art.size() - nl - 2);
+    ASSERT_EQ(row_a.rfind("a ", 0), 0u) << art;
+    ASSERT_EQ(row_b.rfind(long_name + " ", 0), 0u) << art;
+    // The first waveform character after each label.
+    EXPECT_EQ(row_a.find_first_of("_#|", 1),
+              row_b.find_first_of("_#|", long_name.size()))
+        << art;
+    EXPECT_EQ(row_a.size(), row_b.size()) << art;
 }
 
 }  // namespace
