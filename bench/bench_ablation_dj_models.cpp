@@ -10,10 +10,7 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "ber/bert.hpp"
-#include "bench_common.hpp"
-#include "cdr/channel.hpp"
-#include "encoding/prbs.hpp"
+#include "bench_channel_run.hpp"
 
 using namespace gcdr;
 
@@ -28,18 +25,12 @@ struct Row {
 };
 
 Row run_model(jitter::DjModel model, double f_osc) {
-    sim::Scheduler sched;
-    Rng rng(2005);
-    auto cfg = cdr::ChannelConfig::nominal(f_osc);
-    cdr::GccoChannel ch(sched, rng, cfg);
-    encoding::PrbsGenerator gen(encoding::PrbsOrder::kPrbs7);
     jitter::StreamParams sp;
     sp.spec = jitter::JitterSpec::paper_table1();
     sp.dj_model = model;
-    sp.start = SimTime::ns(4);
-    const std::size_t n = 20000;
-    ch.drive(jitter::jittered_edges(gen.bits(n), sp, rng));
-    sched.run_until(sp.start + cfg.rate.ui_to_time(n - 4.0));
+    const auto run = bench::run_prbs7(cdr::ChannelConfig::nominal(f_osc), sp,
+                                      20000, 2005);
+    const cdr::GccoChannel& ch = *run.channel;
     Row r{};
     r.eye_open = ch.eye().eye_opening_ui();
     r.worst_margin = 1.0;

@@ -1,9 +1,8 @@
 #pragma once
-// Shared runner for the Fig 14 / Fig 16 eye-diagram experiments:
-// 25k unit intervals of PRBS7 through one behavioral CDR channel at the
-// paper's stress condition — CCO free-running at 2.375 GHz against
-// 2.5 Gb/s data (-5% frequency), sinusoidal jitter 0.10 UIpp at 250 MHz,
-// plus the Table 1 DJ/RJ/CKJ budget.
+// The one behavioral channel run of the figure benches (Figs 13, 14 and
+// 16, the FTOL scan, the DJ-model ablation): n_bits of jittered PRBS7
+// through one cdr::GccoChannel on its own Scheduler and Rng, plus the
+// eye report Figs 14 and 16 print.
 
 #include <algorithm>
 #include <cstdio>
@@ -17,34 +16,46 @@
 
 namespace gcdr::bench {
 
-struct EyeRunResult {
+/// A finished run. The channel keeps references to its Scheduler and
+/// Rng, so the three are held together; the channel is destroyed first.
+struct ChannelRun {
     std::unique_ptr<sim::Scheduler> sched;
     std::unique_ptr<Rng> rng;
     std::unique_ptr<cdr::GccoChannel> channel;
 };
 
-inline EyeRunResult run_fig14_conditions(bool improved_sampling,
-                                         std::size_t n_bits = 25000,
-                                         std::uint64_t seed = 2005) {
-    EyeRunResult r;
+/// Drive `n_bits` of PRBS7, jittered by `sp` (whose start becomes 4 ns),
+/// through a channel built from `cfg` and run it to n_bits - 4 UI past
+/// the start. The channel is built before the edges are drawn from the
+/// same Rng(seed); that order is part of every result.
+inline ChannelRun run_prbs7(const cdr::ChannelConfig& cfg,
+                            jitter::StreamParams sp, std::size_t n_bits,
+                            std::uint64_t seed) {
+    ChannelRun r;
+    sp.start = SimTime::ns(4);
     r.sched = std::make_unique<sim::Scheduler>();
     r.rng = std::make_unique<Rng>(seed);
-
-    cdr::ChannelConfig cfg = cdr::ChannelConfig::nominal(2.375e9);
-    cfg.improved_sampling = improved_sampling;
-    cfg.eye_bins = 128;
     r.channel = std::make_unique<cdr::GccoChannel>(*r.sched, *r.rng, cfg);
-
     encoding::PrbsGenerator gen(encoding::PrbsOrder::kPrbs7);
-    jitter::StreamParams sp;
-    sp.spec = jitter::JitterSpec::paper_table1();
-    sp.spec.sj_uipp = 0.10;
-    sp.spec.sj_freq_hz = 250e6;
-    sp.start = SimTime::ns(4);
     r.channel->drive(jitter::jittered_edges(gen.bits(n_bits), sp, *r.rng));
     r.sched->run_until(sp.start + cfg.rate.ui_to_time(
                                       static_cast<double>(n_bits) - 4));
     return r;
+}
+
+/// Figs 14 and 16's stress condition: 25k unit intervals of PRBS7 with
+/// the CCO free-running at 2.375 GHz against 2.5 Gb/s data (-5%
+/// frequency), sinusoidal jitter 0.10 UIpp at 250 MHz, plus the Table 1
+/// DJ/RJ/CKJ budget.
+inline ChannelRun run_fig14_conditions(bool improved_sampling) {
+    cdr::ChannelConfig cfg = cdr::ChannelConfig::nominal(2.375e9);
+    cfg.improved_sampling = improved_sampling;
+    cfg.eye_bins = 128;
+    jitter::StreamParams sp;
+    sp.spec = jitter::JitterSpec::paper_table1();
+    sp.spec.sj_uipp = 0.10;
+    sp.spec.sj_freq_hz = 250e6;
+    return run_prbs7(cfg, sp, 25000, 2005);
 }
 
 inline void print_eye_report(const cdr::GccoChannel& ch) {

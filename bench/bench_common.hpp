@@ -30,7 +30,8 @@
 // only some benches read is theirs alone: bench_scenario parses
 // --scenario FILE, and bench_scenario and bench_xval_ber parse
 // --flight-recorder. Every integer flag value goes through uint_flag(): a
-// missing, non-decimal or out-of-range value exits 2 naming the flag.
+// missing, non-decimal or out-of-range value exits 2 naming the flag, as
+// do an unknown --log-level and a --log-json file that cannot be opened.
 // Both --threads and --seed are recorded in the report's "run" object.
 
 #include <chrono>
@@ -124,12 +125,14 @@ struct Options {
             } else if (std::strcmp(argv[i], "--log-level") == 0 &&
                        i + 1 < argc) {
                 obs::LogLevel level{};
-                if (obs::parse_log_level(argv[++i], level)) {
-                    obs::Logger::global().set_level(level);
-                } else {
-                    obs::log_warn("bench", "unknown --log-level value",
-                                  {{"value", argv[i]}});
+                if (!obs::parse_log_level(argv[++i], level)) {
+                    std::fprintf(stderr,
+                                 "--log-level: want trace|debug|info|warn|"
+                                 "error|off, got '%s'\n",
+                                 argv[i]);
+                    std::exit(2);
                 }
+                obs::Logger::global().set_level(level);
             } else if (std::strcmp(argv[i], "--progress") == 0) {
                 opts.progress = true;
             } else {
@@ -140,13 +143,16 @@ struct Options {
         if (!opts.log_json_path.empty()) {
             auto sink =
                 std::make_shared<obs::JsonlFileSink>(opts.log_json_path);
+            if (!sink->ok()) {
+                std::fprintf(stderr, "--log-json: cannot open '%s'\n",
+                             opts.log_json_path.c_str());
+                std::exit(2);
+            }
             // Keep stderr text alongside the file: add_sink() drops the
             // implicit default, so re-add it explicitly first.
-            if (sink->ok()) {
-                obs::Logger::global().add_sink(
-                    std::make_shared<obs::StderrSink>());
-                obs::Logger::global().add_sink(std::move(sink));
-            }
+            obs::Logger::global().add_sink(
+                std::make_shared<obs::StderrSink>());
+            obs::Logger::global().add_sink(std::move(sink));
         }
         if (opts.progress) obs::ProgressReporter::set_enabled(true);
         return opts;

@@ -13,9 +13,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "bench_common.hpp"
-#include "cdr/channel.hpp"
-#include "encoding/prbs.hpp"
+#include "bench_channel_run.hpp"
 #include "exec/sweep.hpp"
 
 using namespace gcdr;
@@ -30,24 +28,15 @@ struct TauResult {
 };
 
 TauResult run_tau(double tau_ui, double f_osc, std::uint64_t seed) {
-    sim::Scheduler sched;
-    Rng rng(seed);
     cdr::ChannelConfig cfg = cdr::ChannelConfig::nominal(f_osc, 0.0);
     cfg.gcco.jitter_sigma = 0.0;
     cfg.edge_detector.cell_jitter_rel = 0.0;
     cfg.edge_detector.cell_delay = SimTime::from_seconds(
         tau_ui * cfg.rate.ui_seconds() / cfg.edge_detector.n_cells);
-    cdr::GccoChannel ch(sched, rng, cfg);
-
-    encoding::PrbsGenerator gen(encoding::PrbsOrder::kPrbs7);
     jitter::StreamParams sp;
-    sp.spec = jitter::JitterSpec{};
     sp.spec.dj_uipp = sp.spec.rj_uirms = sp.spec.ckj_uirms = 0.0;
-    sp.start = SimTime::ns(4);
-    const std::size_t n_bits = 6000;
-    ch.drive(jitter::jittered_edges(gen.bits(n_bits), sp, rng));
-    sched.run_until(sp.start +
-                    cfg.rate.ui_to_time(static_cast<double>(n_bits) - 4));
+    const auto run = bench::run_prbs7(cfg, sp, 6000, seed);
+    const cdr::GccoChannel& ch = *run.channel;
 
     TauResult r;
     r.ber = ch.measured_prbs_ber(encoding::PrbsOrder::kPrbs7);

@@ -6,7 +6,7 @@
 // frequency drift accumulated over the run — the eye is asymmetric around
 // the sampling instant.
 
-#include "bench_eye_run.hpp"
+#include "bench_channel_run.hpp"
 
 using namespace gcdr;
 

@@ -5,7 +5,7 @@
 // data edge improves and the eye opening becomes almost symmetrical
 // around UI/2.
 
-#include "bench_eye_run.hpp"
+#include "bench_channel_run.hpp"
 
 using namespace gcdr;
 

@@ -12,9 +12,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "bench_common.hpp"
-#include "cdr/channel.hpp"
-#include "encoding/prbs.hpp"
+#include "bench_channel_run.hpp"
 #include "exec/sweep.hpp"
 #include "statmodel/gated_osc_model.hpp"
 
@@ -23,19 +21,12 @@ using namespace gcdr;
 namespace {
 
 double behavioral_ber_at(double delta, bool improved, std::uint64_t seed) {
-    sim::Scheduler sched;
-    Rng rng(seed);
     auto cfg = cdr::ChannelConfig::nominal(2.5e9 / (1.0 + delta));
     cfg.improved_sampling = improved;
-    cdr::GccoChannel ch(sched, rng, cfg);
-    encoding::PrbsGenerator gen(encoding::PrbsOrder::kPrbs7);
     jitter::StreamParams sp;
     sp.spec = jitter::JitterSpec::paper_table1();
-    sp.start = SimTime::ns(4);
-    const std::size_t n = 8000;
-    ch.drive(jitter::jittered_edges(gen.bits(n), sp, rng));
-    sched.run_until(sp.start + cfg.rate.ui_to_time(n - 4.0));
-    return ch.measured_prbs_ber(encoding::PrbsOrder::kPrbs7);
+    return bench::run_prbs7(cfg, sp, 8000, seed)
+        .channel->measured_prbs_ber(encoding::PrbsOrder::kPrbs7);
 }
 
 struct OffsetBer {

@@ -25,7 +25,9 @@
 // --flight-recorder
 //          every behavioral clone that decodes the wrong bit count dumps
 //          its pool lane's flight ring (obs::FlightRecorder, dumps in the
-//          current directory).
+//          current directory). The behavioral samples then run on the
+//          event kernel instead of the batched SoA kernel, with the same
+//          counters.
 //
 // Every engine is bit-identical for any --threads value (per-stratum /
 // per-particle seeds derive from --seed; fixed-order merges), so the
@@ -44,7 +46,6 @@
 #include "mc/splitting.hpp"
 #include "obs/flight_recorder.hpp"
 #include "statmodel/gated_osc_model.hpp"
-#include "util/parse_uint.hpp"
 
 using namespace gcdr;
 
@@ -99,8 +100,6 @@ int main(int argc, char** argv) {
     bool flight_recorder = false;
     bool check = false;
     bool deep = false;
-    bool batch = false;
-    std::size_t channels = 8;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--flight-recorder") == 0) {
             flight_recorder = true;
@@ -108,11 +107,6 @@ int main(int argc, char** argv) {
             check = true;
         } else if (std::strcmp(argv[i], "--deep") == 0) {
             deep = true;
-        } else if (std::strcmp(argv[i], "--batch") == 0) {
-            batch = true;
-        } else if (std::strcmp(argv[i], "--channels") == 0) {
-            channels = static_cast<std::size_t>(
-                bench::uint_flag(argc, argv, i, util::kMaxThreadCount));
         } else {
             return bench::unknown_flag(argv[i]);
         }
@@ -193,9 +187,9 @@ int main(int argc, char** argv) {
         bench::section("behavioral channel (event-driven gate level)");
     }
     // Cumulative batched-oracle telemetry over every behavioral model in
-    // the run. Published as gauges (same keys in scalar and batched mode,
-    // zeros when scalar) so reports diff clean under
-    // --require-identical-counters between the two oracle paths.
+    // the run. Published as gauges (zeros under --flight-recorder, whose
+    // samples run on the event kernel) so reports diff clean under
+    // --require-identical-counters between the two kernels.
     std::uint64_t batch_evals = 0;
     std::uint64_t batch_batches = 0;
     std::uint64_t batch_steps = 0;
@@ -214,9 +208,6 @@ int main(int argc, char** argv) {
         // With --flight-recorder, every behavioral clone that decodes the
         // wrong bit count leaves a per-lane post-mortem dump.
         bp.flight = flight.get();
-        // --batch routes every margin_ui_batch through the SoA kernel,
-        // `channels` clones per batch (bit-identical oracle).
-        if (batch) bp.batch_lanes = channels;
         mc::BehavioralMarginModel beh(bp);
 
         mc::DirectSampler::Config dc;
@@ -253,7 +244,6 @@ int main(int argc, char** argv) {
         const Point& pt = points[1];
         auto bp = mc::BehavioralMarginModel::params_from(pt.cfg);
         bp.flight = flight.get();
-        if (batch) bp.batch_lanes = channels;
         mc::BehavioralMarginModel beh(bp);
         mc::SplittingEngine::Config sc;
         sc.n_particles = 512;
@@ -270,13 +260,10 @@ int main(int argc, char** argv) {
         }
     }
 
-    // Batched-oracle telemetry: gauges, not counters, and the keys exist
-    // in both modes — scalar and batched runs of the same workload must
-    // stay bit-identical in every counter (the CI identity gate diffs
-    // them), while these report how the work was executed.
-    reg.gauge("xval.batch.enabled").set(batch ? 1.0 : 0.0);
-    reg.gauge("xval.batch.lanes")
-        .set(batch ? static_cast<double>(channels) : 0.0);
+    // Batched-oracle telemetry: gauges, not counters — event-kernel and
+    // batched runs of the same workload must stay bit-identical in every
+    // counter (the CI identity gate diffs them), while these report how
+    // the work was executed.
     reg.gauge("xval.batch.evals").set(static_cast<double>(batch_evals));
     reg.gauge("xval.batch.batches").set(static_cast<double>(batch_batches));
     reg.gauge("xval.batch.steps").set(static_cast<double>(batch_steps));
@@ -285,7 +272,7 @@ int main(int argc, char** argv) {
     reg.gauge("xval.batch.evals_per_s")
         .set(batch_wall > 0.0 ? static_cast<double>(batch_evals) / batch_wall
                               : 0.0);
-    if (!opts.quiet && batch) {
+    if (!opts.quiet) {
         std::printf(
             "\n[batched oracle: %llu evals in %llu batches, %llu kernel "
             "slices, simd width %zu]\n",

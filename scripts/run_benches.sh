@@ -63,20 +63,6 @@ for id in "${benches[@]}"; do
     fi
 done
 
-# The batched-oracle cross-validation gets its own report. Counters are
-# bit-identical to the scalar run by the lane-identity contract (CI
-# diffs them); only the throughput gauges differ.
-bin="$build_dir/bench/bench_xval_ber"
-if [[ -x "$bin" ]]; then
-    out="$reports_dir/BENCH_xval_ber_batch.json"
-    echo "== bench_xval_ber --batch -> $out (threads=$threads)"
-    if ! "$bin" --quiet --json "$out" --threads "$threads" \
-            --batch --channels 8; then
-        echo "FAILED: bench_xval_ber --batch" >&2
-        failed=1
-    fi
-fi
-
 # Declarative scenarios: every committed config under scenarios/ runs
 # through bench_scenario with the same telemetry plumbing (Fig 8, Fig 9,
 # Fig 10, Fig 17 and the architecture comparison exist only as

@@ -6,6 +6,7 @@
 
 #include "ber/bert.hpp"
 #include "encoding/prbs.hpp"
+#include "util/mathx.hpp"
 
 namespace gcdr::cdr {
 
@@ -137,29 +138,18 @@ double baseline_jtol_amplitude(const CdrT& cdr, double sj_freq_norm,
                                const jitter::JitterSpec& base, LinkRate rate,
                                std::size_t n_bits, std::uint64_t seed,
                                double ber_target, double amp_cap) {
-    auto ber_at = [&](double amp) {
+    return bisect_largest_passing(amp_cap, 24, [&](double amp) {
         jitter::JitterSpec spec = base;
         spec.sj_uipp = amp;
         spec.sj_freq_hz = sj_freq_norm * rate.bits_per_second();
         Rng rng(seed);
         encoding::PrbsGenerator prbs(encoding::PrbsOrder::kPrbs7);
         const auto result = cdr.run(prbs.bits(n_bits), spec, rate, rng);
-        if (result.errors > 0) return 1.0;  // hard failure dominates
-        return result.extrapolated_ber();
-    };
-
-    if (ber_at(amp_cap) <= ber_target) return amp_cap;
-    if (ber_at(0.0) > ber_target) return 0.0;
-    double lo = 0.0, hi = amp_cap;
-    for (int i = 0; i < 24; ++i) {
-        const double mid = 0.5 * (lo + hi);
-        if (ber_at(mid) <= ber_target) {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    return lo;
+        // A hard failure dominates the extrapolated BER.
+        const double ber =
+            result.errors > 0 ? 1.0 : result.extrapolated_ber();
+        return ber <= ber_target;
+    });
 }
 
 // Explicit instantiations for the two baseline architectures.

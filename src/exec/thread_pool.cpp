@@ -87,54 +87,58 @@ void ThreadPool::drain() {
     t_in_parallel_region = false;
 }
 
-void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& fn) {
-    if (n == 0) return;
+std::size_t ThreadPool::parallel_for(
+    std::size_t n, const std::function<void(std::size_t)>& fn,
+    const std::atomic<bool>* stop) {
+    if (n == 0) return 0;
     const bool timed = m_job_seconds_ != nullptr;
-    if (workers_.empty() || n == 1 || t_in_parallel_region) {
-        // Serial path: a 1-lane pool, a single item, or a nested call from
-        // inside an item. Runs the exact same per-index code.
-        const auto t0 = timed ? MonoClock::now() : MonoClock::time_point{};
-        for (std::size_t i = 0; i < n; ++i) {
+    const auto job_t0 = timed ? MonoClock::now() : MonoClock::time_point{};
+    // Serial path: a 1-lane pool, a single item, or a nested call from
+    // inside an item. Runs the exact same per-index code.
+    const bool serial = workers_.empty() || n == 1 || t_in_parallel_region;
+    std::size_t ran = 0;
+    std::exception_ptr error;
+    if (serial) {
+        for (; ran < n; ++ran) {
+            if (stop && stop->load(std::memory_order_relaxed)) break;
             const auto item_t0 =
                 timed ? MonoClock::now() : MonoClock::time_point{};
-            fn(i);
+            fn(ran);
             if (timed) {
                 m_item_seconds_->record(ns_to_s(elapsed_ns(item_t0)));
             }
         }
-        if (timed) {
-            m_jobs_->inc();
-            m_items_->inc(n);
-            m_job_seconds_->record(ns_to_s(elapsed_ns(t0)));
-            // No idle lanes on the serial path by construction; nested
-            // calls fold into the enclosing job's utilization instead.
-            if (!t_in_parallel_region) m_lane_utilization_->set(1.0);
+    } else {
+        {
+            std::lock_guard<std::mutex> lk(mu_);
+            job_fn_ = &fn;
+            job_n_ = n;
+            next_.store(0, std::memory_order_relaxed);
+            first_error_ = nullptr;
+            active_workers_ = workers_.size();
+            ++generation_;
+            busy_ns_.store(0, std::memory_order_relaxed);
+            job_stop_ = stop;
+            executed_.store(0, std::memory_order_relaxed);
         }
-        return;
-    }
-    const auto job_t0 = timed ? MonoClock::now() : MonoClock::time_point{};
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        job_fn_ = &fn;
-        job_n_ = n;
-        next_.store(0, std::memory_order_relaxed);
-        first_error_ = nullptr;
-        active_workers_ = workers_.size();
-        ++generation_;
-        busy_ns_.store(0, std::memory_order_relaxed);
+        cv_start_.notify_all();
+        drain();  // the caller is lane 0
+        std::unique_lock<std::mutex> lk(mu_);
+        cv_done_.wait(lk, [&] { return active_workers_ == 0; });
         job_stop_ = nullptr;
+        ran = stop ? executed_.load(std::memory_order_relaxed) : n;
+        error = first_error_;
     }
-    cv_start_.notify_all();
-    drain();  // the caller is lane 0
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_done_.wait(lk, [&] { return active_workers_ == 0; });
     if (timed) {
         const std::int64_t wall_ns = elapsed_ns(job_t0);
         m_jobs_->inc();
-        m_items_->inc(n);
+        m_items_->inc(ran);
         m_job_seconds_->record(ns_to_s(wall_ns));
-        if (wall_ns > 0) {
+        if (serial) {
+            // No idle lanes on the serial path by construction; nested
+            // calls fold into the enclosing job's utilization instead.
+            if (!t_in_parallel_region) m_lane_utilization_->set(1.0);
+        } else if (wall_ns > 0) {
             const double busy =
                 static_cast<double>(busy_ns_.load(std::memory_order_relaxed));
             m_lane_utilization_->set(
@@ -142,43 +146,7 @@ void ThreadPool::parallel_for(std::size_t n,
                         static_cast<double>(wall_ns)));
         }
     }
-    if (first_error_) std::rethrow_exception(first_error_);
-}
-
-std::size_t ThreadPool::parallel_for_cancellable(
-    std::size_t n, const std::function<void(std::size_t)>& fn,
-    const std::atomic<bool>& stop) {
-    if (n == 0) return 0;
-    if (workers_.empty() || n == 1 || t_in_parallel_region) {
-        // Serial path mirrors parallel_for's: same per-index code, with
-        // the stop poll between items.
-        std::size_t ran = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (stop.load(std::memory_order_relaxed)) break;
-            fn(i);
-            ++ran;
-        }
-        return ran;
-    }
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        job_fn_ = &fn;
-        job_n_ = n;
-        next_.store(0, std::memory_order_relaxed);
-        first_error_ = nullptr;
-        active_workers_ = workers_.size();
-        ++generation_;
-        busy_ns_.store(0, std::memory_order_relaxed);
-        job_stop_ = &stop;
-        executed_.store(0, std::memory_order_relaxed);
-    }
-    cv_start_.notify_all();
-    drain();  // the caller is lane 0
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_done_.wait(lk, [&] { return active_workers_ == 0; });
-    job_stop_ = nullptr;
-    const std::size_t ran = executed_.load(std::memory_order_relaxed);
-    if (first_error_) std::rethrow_exception(first_error_);
+    if (error) std::rethrow_exception(error);
     return ran;
 }
 

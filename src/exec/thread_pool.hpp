@@ -18,6 +18,8 @@
 //   - parallel_for is a barrier: it returns only after every index ran.
 //     The first exception thrown by any item is rethrown to the caller
 //     (remaining items still execute; they are not cancelled).
+//   - A job may carry a stop flag (the serving layer's deadline/cancel
+//     paths): once it reads true, no NEW index is handed out.
 //   - parallel_for is NOT reentrant from inside an item. Nested calls are
 //     detected and run their loop inline on the calling worker.
 
@@ -50,20 +52,17 @@ public:
     /// Total lanes (worker threads + the calling thread).
     [[nodiscard]] std::size_t size() const { return workers_.size() + 1; }
 
-    /// Run fn(i) for every i in [0, n); blocks until all completed.
-    void parallel_for(std::size_t n,
-                      const std::function<void(std::size_t)>& fn);
-
-    /// Cooperatively cancellable parallel_for for the serving layer's
-    /// deadline/cancel paths: once `stop` reads true, no NEW index is
-    /// handed out (items already started run to completion — fn is never
-    /// torn mid-item). Returns the number of items that actually ran.
+    /// Run fn(i) for every i in [0, n); blocks until all completed and
+    /// returns the number of items that ran (n without a stop flag).
+    /// With `stop`, once it reads true no NEW index is handed out (items
+    /// already started run to completion — fn is never torn mid-item).
     /// Which indices ran under a mid-flight stop is scheduling-dependent
     /// by nature; determinism is preserved in the only sense that matters
-    /// to the cache — every index either ran fn completely or not at all.
-    std::size_t parallel_for_cancellable(
-        std::size_t n, const std::function<void(std::size_t)>& fn,
-        const std::atomic<bool>& stop);
+    /// to the serving cache — every index either ran fn completely or not
+    /// at all. A job without a stop flag pays nothing for it per item.
+    std::size_t parallel_for(std::size_t n,
+                             const std::function<void(std::size_t)>& fn,
+                             const std::atomic<bool>* stop = nullptr);
 
     /// Lane index of the current thread during a parallel_for: 0 for the
     /// calling thread (and any thread outside the pool), 1..size()-1 for
@@ -73,7 +72,7 @@ public:
 
     /// Attach telemetry (obs/). Registers under `prefix`:
     ///   <prefix>.jobs / .items          counters (parallel_for calls /
-    ///                                   indices executed, incl. serial)
+    ///                                   indices that ran, incl. serial)
     ///   <prefix>.job_seconds            histogram, barrier-to-barrier wall
     ///   <prefix>.item_seconds           histogram, per-item latency
     ///   <prefix>.lanes                  gauge, size()
@@ -81,9 +80,10 @@ public:
     ///                                   (lanes * job wall) of the last
     ///                                   parallel job (1.0 = no idle lanes)
     /// Pass nullptr to detach. Detached (the default), parallel_for takes
-    /// no clock reads and no atomic RMWs beyond the index handout; items
-    /// are assumed chunky (>= ~10 us), so the two steady_clock reads per
-    /// item when attached stay in the noise.
+    /// no clock reads and no atomic RMWs beyond the index handout (and,
+    /// with a stop flag, the tally of items that ran); items are assumed
+    /// chunky (>= ~10 us), so the two steady_clock reads per item when
+    /// attached stay in the noise.
     void attach_metrics(obs::MetricsRegistry* registry,
                         const std::string& prefix = "exec");
 
@@ -104,7 +104,7 @@ private:
     std::size_t job_n_ = 0;
     std::atomic<std::size_t> next_{0};
     std::exception_ptr first_error_;
-    /// Non-null only during a cancellable job: the caller's stop flag,
+    /// Non-null only during a job with a stop flag: the caller's flag,
     /// polled before each index handout. executed_ tallies items that ran.
     const std::atomic<bool>* job_stop_ = nullptr;
     std::atomic<std::size_t> executed_{0};

@@ -55,14 +55,6 @@ public:
     /// (scaled to BER); `std_err` is the stratified binomial SE.
     [[nodiscard]] McEstimate estimate(exec::ThreadPool& pool) const;
 
-    /// Pooled error count / run count of the last estimate() call are not
-    /// retained (const engine); the Wilson flavor of the same counts:
-    [[nodiscard]] static Interval wilson_of(std::uint64_t errors,
-                                            std::uint64_t runs,
-                                            double confidence = 0.95) {
-        return wilson_interval(errors, runs, confidence);
-    }
-
     [[nodiscard]] std::uint64_t runs_per_round() const {
         return runs_per_round_;
     }

@@ -225,15 +225,15 @@ double BehavioralMarginModel::margin_ui(const RunSample& s) const {
 void BehavioralMarginModel::margin_ui_batch(const RunSample* samples,
                                             std::size_t n,
                                             double* out) const {
-    // Flight recording needs the event kernel's tracer; a 0/1-lane batch
-    // gains nothing over the scalar path.
-    if (params_.batch_lanes <= 1 || params_.flight != nullptr) {
+    // Flight recording needs the event kernel's tracer.
+    if (params_.flight != nullptr) {
         MarginModel::margin_ui_batch(samples, n, out);
         return;
     }
     const LinkRate rate = params_.channel.rate;
-    for (std::size_t base = 0; base < n; base += params_.batch_lanes) {
-        const std::size_t cnt = std::min(params_.batch_lanes, n - base);
+    const std::size_t width = std::max<std::size_t>(params_.batch_lanes, 1);
+    for (std::size_t base = 0; base < n; base += width) {
+        const std::size_t cnt = std::min(width, n - base);
         sim::batch::ChannelBatch batch(params_.channel, cnt);
         std::vector<int> lens(cnt);
         for (std::size_t k = 0; k < cnt; ++k) {

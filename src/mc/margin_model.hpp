@@ -17,7 +17,11 @@
 //    margin. The channel is a deterministic function of (latent vector,
 //    noise_seed), which is what makes clone-and-restart splitting work:
 //    a checkpoint is the latent state, a restart is a fresh Scheduler
-//    replaying it — no live event-queue state needs copying.
+//    replaying it — no live event-queue state needs copying. Engines
+//    evaluate through margin_ui_batch, which runs the same pattern as
+//    lanes of the batched SoA kernel (sim/batch), bit-identical per
+//    sample; margin_ui and flight-recorded models stay on the event
+//    kernel.
 //
 // All evaluations are const and allocate only locally, so one model
 // instance may be shared by every lane of an exec::ThreadPool.
@@ -114,17 +118,15 @@ public:
         /// clone leaves a walkable trace, however many lanes run. nullptr
         /// (the default) costs nothing.
         obs::FlightRecorder* flight = nullptr;
-        /// > 1: margin_ui_batch() evaluates clones on the batched SoA
-        /// kernel (sim/batch/ChannelBatch), this many lanes per batch.
-        /// 0/1 keeps the scalar one-Scheduler-per-eval path.
-        /// Ignored (scalar) whenever `flight` is set — flight recording
-        /// needs the event kernel's causal tracer.
-        std::size_t batch_lanes = 0;
+        /// Clones per ChannelBatch in margin_ui_batch(). Batched lanes are
+        /// bit-identical to the event kernel, so this sets only the SoA
+        /// width; 0 counts as 1.
+        std::size_t batch_lanes = 16;
     };
 
-    /// Cumulative batched-path telemetry (all evaluations routed through
-    /// the SoA kernel by margin_ui_batch). Atomics: the model is shared
-    /// across pool lanes.
+    /// Cumulative batched-path telemetry (every evaluation margin_ui_batch
+    /// ran on the SoA kernel). Atomics: the model is shared across pool
+    /// lanes.
     struct BatchStats {
         std::atomic<std::uint64_t> evals{0};    ///< samples batch-evaluated
         std::atomic<std::uint64_t> batches{0};  ///< ChannelBatch runs
@@ -140,9 +142,13 @@ public:
     [[nodiscard]] static Params params_from(
         const statmodel::ModelConfig& cfg, LinkRate rate = kPaperRate);
 
+    /// One evaluation on the event kernel (sim::Scheduler): the flight
+    /// path, and the reference the batched oracle is held to.
     [[nodiscard]] double margin_ui(const RunSample& s) const override;
     /// Batched oracle: chunks of Params::batch_lanes clones share one
-    /// ChannelBatch, bit-identical to the scalar path per sample.
+    /// ChannelBatch, bit-identical to margin_ui per sample. With a flight
+    /// recorder attached every sample runs through margin_ui instead —
+    /// flight recording needs the event kernel's causal tracer.
     void margin_ui_batch(const RunSample* samples, std::size_t n,
                          double* out) const override;
     [[nodiscard]] int max_run_length() const override {

@@ -1,7 +1,6 @@
 #include "obs/flight_recorder.hpp"
 
 #include <algorithm>
-#include <csignal>
 #include <cstdio>
 #include <fstream>
 
@@ -16,31 +15,6 @@ std::size_t round_up_pow2(std::size_t n) {
     std::size_t p = 1;
     while (p < n) p <<= 1;
     return p;
-}
-
-// Crash-handler registry: one recorder at a time (see header).
-std::atomic<FlightRecorder*> g_crash_recorder{nullptr};
-
-const char* signal_name(int sig) {
-    switch (sig) {
-        case SIGSEGV: return "SIGSEGV";
-        case SIGABRT: return "SIGABRT";
-        case SIGFPE: return "SIGFPE";
-        case SIGILL: return "SIGILL";
-        case SIGBUS: return "SIGBUS";
-        default: return "signal";
-    }
-}
-
-void crash_handler(int sig) {
-    // Restore default disposition first so a second fault (or our own
-    // re-raise) terminates instead of recursing.
-    std::signal(sig, SIG_DFL);
-    if (FlightRecorder* rec =
-            g_crash_recorder.exchange(nullptr, std::memory_order_acq_rel)) {
-        rec->dump(std::string("signal:") + signal_name(sig));
-    }
-    std::raise(sig);
 }
 
 }  // namespace
@@ -75,14 +49,6 @@ std::vector<FlightEvent> FlightRing::snapshot() const {
 FlightRecorder::FlightRecorder() : FlightRecorder(Config()) {}
 
 FlightRecorder::FlightRecorder(Config config) : config_(std::move(config)) {}
-
-FlightRecorder::~FlightRecorder() {
-    // Detach from the crash handler so a later signal doesn't dump
-    // through a destroyed recorder.
-    FlightRecorder* self = this;
-    g_crash_recorder.compare_exchange_strong(self, nullptr,
-                                             std::memory_order_acq_rel);
-}
 
 FlightRing& FlightRecorder::ring(const std::string& name) {
     std::lock_guard<std::mutex> lock(mu_);
@@ -245,14 +211,6 @@ std::string FlightRecorder::write_dump(
 std::vector<std::string> FlightRecorder::dump_paths() const {
     std::lock_guard<std::mutex> lock(mu_);
     return dump_paths_;
-}
-
-void FlightRecorder::install_crash_handler() {
-    g_crash_recorder.store(this, std::memory_order_release);
-    if (handler_installed_) return;
-    handler_installed_ = true;
-    for (int sig : {SIGSEGV, SIGABRT, SIGFPE, SIGILL, SIGBUS})
-        std::signal(sig, crash_handler);
 }
 
 }  // namespace gcdr::obs

@@ -2,7 +2,7 @@
 // Flight recorder: fixed-size wait-free rings of the last N simulation
 // events per channel, dumped to JSON (plus an optional VCD window around
 // the failure time) when something goes wrong — lock loss, elastic
-// over/underflow, schedule_at-in-the-past, or a fatal signal.
+// over/underflow, schedule_at-in-the-past or a failed MC clone.
 //
 // Layering note: this module is obs-level and knows nothing about
 // sim::Wire or sim::VcdWriter. Times are raw femtosecond integers and the
@@ -18,11 +18,6 @@
 // threads while one of them faults (the MC pool lanes) use dump_ring(),
 // which reads only the caller's own ring and tracer: nothing another
 // thread writes or frees.
-//
-// The crash handler is best-effort: dumping from a signal context is not
-// async-signal-safe (it allocates and does file I/O), but on SIGSEGV the
-// alternative is no post-mortem at all. It re-raises with the default
-// disposition after dumping so exit codes and core dumps are preserved.
 
 #include <atomic>
 #include <cstdint>
@@ -98,7 +93,6 @@ public:
 
     FlightRecorder();  ///< default Config
     explicit FlightRecorder(Config config);
-    ~FlightRecorder();
 
     /// The ring for `name`, created on first use. Returned reference is
     /// stable for the recorder's lifetime.
@@ -135,12 +129,6 @@ public:
     [[nodiscard]] std::vector<std::string> dump_paths() const;
     [[nodiscard]] const Config& config() const { return config_; }
 
-    /// Route SIGSEGV/SIGABRT/SIGFPE/SIGILL/SIGBUS through a best-effort
-    /// dump("signal:<name>") on this recorder, then re-raise. Only one
-    /// recorder can hold the handlers; installing from a second recorder
-    /// replaces the first. Not async-signal-safe (see header comment).
-    void install_crash_handler();
-
 private:
     /// The dump body over `rings`; the caller holds mu_.
     std::string write_dump(const std::string& reason, std::uint64_t focus_id,
@@ -155,7 +143,6 @@ private:
         waveform_dump_;
     std::atomic<std::uint64_t> triggers_{0};
     std::vector<std::string> dump_paths_;
-    bool handler_installed_ = false;
 };
 
 }  // namespace gcdr::obs

@@ -131,12 +131,7 @@ std::string JsonlFileSink::format(const LogRecord& rec) {
 }
 
 JsonlFileSink::JsonlFileSink(const std::string& path)
-    : file_(std::fopen(path.c_str(), "a")) {
-    if (!file_) {
-        std::fprintf(stderr, "log: cannot open JSONL sink '%s'\n",
-                     path.c_str());
-    }
-}
+    : file_(std::fopen(path.c_str(), "a")) {}
 
 JsonlFileSink::~JsonlFileSink() {
     if (file_) std::fclose(file_);

@@ -125,7 +125,9 @@ private:
 ///   {"schema":"gcdr.log/v1","utc":"...","level":"warn",
 ///    "component":"obs.flight","message":"...","suppressed":0,
 ///    "fields":{"path":"..."}}
-/// Opened in append mode so several runs can share one file.
+/// Opened in append mode so several runs can share one file. A file that
+/// cannot be opened leaves ok() false and prints nothing: the owner
+/// reports it (bench::Options exits 2 naming --log-json).
 class JsonlFileSink : public LogSink {
 public:
     explicit JsonlFileSink(const std::string& path);

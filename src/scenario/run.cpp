@@ -431,10 +431,6 @@ TaskResult run_health_probe(const ScenarioDoc& doc, const TaskSpec& task,
 // value inside a tau-inflated CI — the two layers differ by genuine
 // channel physics, so tau absorbs the modeling gap, not sampling noise.
 
-/// Clones per ChannelBatch in the behavioral leg: batched lanes are
-/// bit-identical to the scalar kernel, so this only sets the SoA width.
-constexpr std::size_t kBehavioralBatchLanes = 16;
-
 TaskResult run_differential(const ScenarioDoc& doc, const TaskSpec& task,
                             const ScenarioContext& ctx) {
     obs::MetricsRegistry& reg = *ctx.metrics;
@@ -483,9 +479,8 @@ TaskResult run_differential(const ScenarioDoc& doc, const TaskSpec& task,
     bool beh_ok = true;
     if (task.behavioral_runs > 0 && in_regime &&
         sm >= task.behavioral_min_ber) {
-        auto bp = mc::BehavioralMarginModel::params_from(cfg);
-        bp.batch_lanes = kBehavioralBatchLanes;
-        mc::BehavioralMarginModel beh(bp);
+        mc::BehavioralMarginModel beh(
+            mc::BehavioralMarginModel::params_from(cfg));
         mc::DirectSampler::Config dc;
         dc.budget.max_evals = task.behavioral_runs;
         dc.budget.base_seed = ctx.seed;

@@ -222,13 +222,13 @@ ExecOutcome JobExecutor::run_sweep(JobState& job, exec::ThreadPool& pool) {
         }
     }
 
-    // Compute phase: missing points through the cancellable pool loop.
+    // Compute phase: missing points through one pool job with a stop flag.
     // The stop flag latches on the first cancel/deadline observation;
     // in-flight points finish and are stored (resume-friendly).
     std::atomic<bool> stop{false};
     std::size_t ran = 0;
     if (!missing.empty()) {
-        ran = pool.parallel_for_cancellable(
+        ran = pool.parallel_for(
             missing.size(),
             [&](std::size_t mi) {
                 if (job.cancel_requested() || job.remaining_s() <= 0.0) {
@@ -244,7 +244,7 @@ ExecOutcome JobExecutor::run_sweep(JobState& job, exec::ThreadPool& pool) {
                 have[i] = 1;
                 emit(i, /*cached=*/false);
             },
-            stop);
+            &stop);
         if (metrics_) {
             metrics_->counter("serve.points_computed").inc(ran);
         }

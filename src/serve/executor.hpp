@@ -14,9 +14,9 @@
 //          not computed before cancel/deadline)
 //
 // Sweep points are individually keyed (sweep_point_spec) and computed
-// through ThreadPool::parallel_for_cancellable, so a job that hits its
-// deadline or is cancelled returns kPartial/kCancelled with whatever
-// completed — and those points are already stored, which is exactly why
+// through one ThreadPool::parallel_for with a stop flag, so a job that
+// hits its deadline or is cancelled returns kPartial/kCancelled with
+// whatever completed — and those points are already stored, which is why
 // resubmitting the same sweep resumes instead of recomputing. The missing
 // points evaluate through one GatedOscStatModel where they share its edge
 // PDFs (statmodel::shares_edge_pdfs), so an SJ-axis sweep convolves its

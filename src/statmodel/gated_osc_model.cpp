@@ -229,26 +229,11 @@ namespace {
 double jtol_search(const GatedOscStatModel& model, ModelConfig base,
                    double sj_freq_norm, double ber_target, double amp_cap) {
     base.sj_freq_norm = sj_freq_norm;
-
-    auto ber_at = [&](double amp) {
+    return bisect_largest_passing(amp_cap, 60, [&](double amp) {
         ModelConfig c = base;
         c.spec.sj_uipp = amp;
-        return model.ber_at(c);
-    };
-
-    if (ber_at(amp_cap) <= ber_target) return amp_cap;
-    if (ber_at(0.0) > ber_target) return 0.0;
-
-    double lo = 0.0, hi = amp_cap;
-    for (int i = 0; i < 60; ++i) {
-        const double mid = 0.5 * (lo + hi);
-        if (ber_at(mid) <= ber_target) {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    return lo;
+        return model.ber_at(c) <= ber_target;
+    });
 }
 
 }  // namespace
@@ -296,28 +281,20 @@ std::vector<masks::MaskPoint> jtol_curve(const GatedOscStatModel& model,
 
 double ftol(ModelConfig base, double ber_target) {
     const GatedOscStatModel model(base);
-    auto ber_at = [&](double delta) {
-        ModelConfig c = base;
-        c.freq_offset = delta;
-        return model.ber_at(c);
-    };
     // FTOL is quoted as a symmetric bound: the smaller of the two one-sided
     // tolerances (a slow oscillator fails sooner than a fast one at the
     // mid-bit sampling point, and vice versa for the advanced one).
     double worst = 0.5;
     for (double sign : {+1.0, -1.0}) {
-        if (ber_at(sign * 0.5) <= ber_target) continue;
-        if (ber_at(0.0) > ber_target) return 0.0;
-        double lo = 0.0, hi = 0.5;
-        for (int i = 0; i < 60; ++i) {
-            const double mid = 0.5 * (lo + hi);
-            if (ber_at(sign * mid) <= ber_target) {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        worst = std::min(worst, lo);
+        const double tol = bisect_largest_passing(0.5, 60, [&](double d) {
+            ModelConfig c = base;
+            c.freq_offset = sign * d;
+            return model.ber_at(c) <= ber_target;
+        });
+        // A zero one-sided tolerance (the zero-offset point already
+        // fails) is the answer; the other side need not run.
+        if (tol == 0.0) return 0.0;
+        worst = std::min(worst, tol);
     }
     return worst;
 }

@@ -1,7 +1,8 @@
 #pragma once
 // Numerical helpers shared by the statistical BER model (stats/, statmodel/)
 // and the phase-noise budget (noise/): Gaussian tail math on a log scale so
-// BERs down to 1e-40 stay representable, plus dB conversions.
+// BERs down to 1e-40 stay representable, plus dB conversions and the
+// fixed-step tolerance bisection.
 
 #include <cstddef>
 #include <vector>
@@ -48,5 +49,27 @@ inline constexpr double kRoomTempK = 300.0;
 
 /// Trapezoidal integral of uniformly spaced samples with step dx.
 [[nodiscard]] double trapz(const std::vector<double>& ys, double dx);
+
+/// Largest value in [0, cap] for which `passes` holds, by `steps` fixed
+/// halvings of [0, cap]: `cap` when cap passes, 0 when 0 fails, else the
+/// last passing midpoint — within cap * 2^-steps of the threshold of a
+/// predicate that passes below it and fails above. The JTOL and FTOL
+/// searches (statmodel, cdr::baseline_jtol_amplitude) all run this one.
+template <typename Passes>
+[[nodiscard]] double bisect_largest_passing(double cap, int steps,
+                                            Passes&& passes) {
+    if (passes(cap)) return cap;
+    if (!passes(0.0)) return 0.0;
+    double lo = 0.0, hi = cap;
+    for (int i = 0; i < steps; ++i) {
+        const double mid = 0.5 * (lo + hi);
+        if (passes(mid)) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    return lo;
+}
 
 }  // namespace gcdr

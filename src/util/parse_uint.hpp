@@ -13,8 +13,8 @@
 
 namespace gcdr::util {
 
-/// Largest thread, worker or lane count a command-line flag may ask for:
-/// well above any host's core count, well below the thread count that
+/// Largest thread or worker count a command-line flag may ask for: well
+/// above any host's core count, well below the thread count that
 /// exhausts a process. A flag value above it is refused before any
 /// thread exists.
 inline constexpr std::uint64_t kMaxThreadCount = 1024;

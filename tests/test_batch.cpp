@@ -9,8 +9,9 @@
 //  - NormalBank streams equal util::Rng::gaussian();
 //  - convolve_direct equals the naive loop bit for bit at the target's
 //    SIMD width;
-//  - the batched BehavioralMarginModel oracle returns the same margins as
-//    the scalar one.
+//  - the batched BehavioralMarginModel oracle returns the event kernel's
+//    margins, runs by default, and yields to the event kernel when a
+//    flight recorder is attached.
 
 #include <gtest/gtest.h>
 
@@ -27,6 +28,7 @@
 #include "exec/thread_pool.hpp"
 #include "jitter/jitter.hpp"
 #include "mc/margin_model.hpp"
+#include "obs/flight_recorder.hpp"
 #include "sim/batch/channel_batch.hpp"
 #include "sim/batch/lane_rng.hpp"
 #include "sim/scheduler.hpp"
@@ -287,19 +289,11 @@ TEST(SimdShim, ConvolveDirectMatchesNaive) {
               0);
 }
 
-TEST(BehavioralMarginModel, BatchedOracleMatchesScalar) {
-    statmodel::ModelConfig mcfg;
-    mcfg.spec.sj_uipp = 0.30;
-    mcfg.sj_freq_norm = 0.5;
-    auto scalar_params = mc::BehavioralMarginModel::params_from(mcfg);
-    auto batch_params = scalar_params;
-    batch_params.batch_lanes = 4;
-    const mc::BehavioralMarginModel scalar_model(scalar_params);
-    const mc::BehavioralMarginModel batch_model(batch_params);
-
+// Latent samples spread over every run length, as an engine draws them.
+std::vector<mc::RunSample> random_samples(int max_cid, std::size_t n) {
     Rng rng(3);
-    const auto pmf = statmodel::run_length_probs(scalar_params.max_cid);
-    std::vector<mc::RunSample> samples(23);
+    const auto pmf = statmodel::run_length_probs(max_cid);
+    std::vector<mc::RunSample> samples(n);
     for (auto& s : samples) {
         s.run_length = mc::run_length_from_uniform(pmf, rng.uniform());
         s.u_dj = rng.uniform();
@@ -310,13 +304,59 @@ TEST(BehavioralMarginModel, BatchedOracleMatchesScalar) {
         s.z_early = rng.gaussian();
         s.noise_seed = rng.generator()();
     }
+    return samples;
+}
+
+mc::BehavioralMarginModel::Params sj030_params() {
+    statmodel::ModelConfig mcfg;
+    mcfg.spec.sj_uipp = 0.30;
+    mcfg.sj_freq_norm = 0.5;
+    return mc::BehavioralMarginModel::params_from(mcfg);
+}
+
+TEST(BehavioralMarginModel, BatchedOracleMatchesScalar) {
+    auto params = sj030_params();
+    params.batch_lanes = 4;  // 23 samples: five full batches and a partial
+    const mc::BehavioralMarginModel model(params);
+    const auto samples = random_samples(params.max_cid, 23);
     std::vector<double> batched(samples.size());
+    model.margin_ui_batch(samples.data(), samples.size(), batched.data());
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+        EXPECT_EQ(batched[i], model.margin_ui(samples[i])) << i;
+    }
+    EXPECT_EQ(model.batch_stats().evals.load(), samples.size());
+}
+
+TEST(BehavioralMarginModel, DefaultParamsRunTheBatchKernel) {
+    // params_from's defaults: every margin_ui_batch evaluation runs on
+    // the SoA kernel, 16 clones per ChannelBatch.
+    const mc::BehavioralMarginModel model(sj030_params());
+    const auto samples = random_samples(model.max_run_length(), 23);
+    std::vector<double> out(samples.size());
+    model.margin_ui_batch(samples.data(), samples.size(), out.data());
+    EXPECT_EQ(model.batch_stats().evals.load(), samples.size());
+    EXPECT_EQ(model.batch_stats().batches.load(), 2u);
+}
+
+TEST(BehavioralMarginModel, FlightRecorderKeepsTheEventKernel) {
+    obs::FlightRecorder::Config fcfg;
+    fcfg.max_dumps = 0;  // count failed clones, write no files
+    obs::FlightRecorder rec(fcfg);
+    auto params = sj030_params();
+    params.flight = &rec;
+    const mc::BehavioralMarginModel flight_model(params);
+    const mc::BehavioralMarginModel batch_model(sj030_params());
+    const auto samples = random_samples(params.max_cid, 23);
+    std::vector<double> flight(samples.size());
+    std::vector<double> batched(samples.size());
+    flight_model.margin_ui_batch(samples.data(), samples.size(),
+                                 flight.data());
     batch_model.margin_ui_batch(samples.data(), samples.size(),
                                 batched.data());
-    for (std::size_t i = 0; i < samples.size(); ++i) {
-        EXPECT_EQ(batched[i], scalar_model.margin_ui(samples[i])) << i;
-    }
-    EXPECT_GT(batch_model.batch_stats().evals, 0u);
+    EXPECT_EQ(flight_model.batch_stats().evals.load(), 0u);
+    EXPECT_EQ(std::memcmp(flight.data(), batched.data(),
+                          flight.size() * sizeof(double)),
+              0);
 }
 
 }  // namespace

@@ -299,15 +299,15 @@ TEST(MultiChannelCdr, ParallelRunBitIdenticalToSerial) {
 }
 
 // ---------------------------------------------------------------------------
-// ThreadPool::parallel_for_cancellable
+// ThreadPool::parallel_for with a stop flag
 
 TEST(ThreadPoolCancellable, RunsEverythingWhenNeverStopped) {
     for (const std::size_t lanes : {std::size_t{1}, std::size_t{4}}) {
         ThreadPool pool(lanes);
         std::atomic<bool> stop{false};
         std::vector<std::atomic<int>> hit(100);
-        const std::size_t ran = pool.parallel_for_cancellable(
-            hit.size(), [&](std::size_t i) { hit[i].fetch_add(1); }, stop);
+        const std::size_t ran = pool.parallel_for(
+            hit.size(), [&](std::size_t i) { hit[i].fetch_add(1); }, &stop);
         EXPECT_EQ(ran, hit.size()) << lanes << " lanes";
         for (auto& h : hit) EXPECT_EQ(h.load(), 1);
     }
@@ -319,12 +319,12 @@ TEST(ThreadPoolCancellable, StopFlagHaltsHandoutMidRun) {
         std::atomic<bool> stop{false};
         std::atomic<std::size_t> executed{0};
         const std::size_t n = 1000;
-        const std::size_t ran = pool.parallel_for_cancellable(
+        const std::size_t ran = pool.parallel_for(
             n,
             [&](std::size_t) {
                 if (executed.fetch_add(1) + 1 >= 10) stop.store(true);
             },
-            stop);
+            &stop);
         // At most one extra item per lane can be in flight when the flag
         // latches; the rest of the index space is never handed out.
         EXPECT_GE(ran, std::size_t{10}) << lanes << " lanes";
@@ -337,8 +337,8 @@ TEST(ThreadPoolCancellable, PreSetStopRunsNothing) {
     ThreadPool pool(4);
     std::atomic<bool> stop{true};
     std::atomic<int> calls{0};
-    const std::size_t ran = pool.parallel_for_cancellable(
-        50, [&](std::size_t) { calls.fetch_add(1); }, stop);
+    const std::size_t ran = pool.parallel_for(
+        50, [&](std::size_t) { calls.fetch_add(1); }, &stop);
     EXPECT_EQ(ran, 0u);
     EXPECT_EQ(calls.load(), 0);
 }
@@ -346,12 +346,12 @@ TEST(ThreadPoolCancellable, PreSetStopRunsNothing) {
 TEST(ThreadPoolCancellable, ExceptionsPropagateLikeParallelFor) {
     ThreadPool pool(4);
     std::atomic<bool> stop{false};
-    EXPECT_THROW(pool.parallel_for_cancellable(
+    EXPECT_THROW(pool.parallel_for(
                      8,
                      [&](std::size_t i) {
                          if (i == 3) throw std::runtime_error("boom");
                      },
-                     stop),
+                     &stop),
                  std::runtime_error);
     // The pool stays usable afterwards.
     std::atomic<int> ok{0};
@@ -364,10 +364,32 @@ TEST(ThreadPoolCancellable, PlainParallelForUnaffectedAfterCancelledJob) {
     // next plain parallel_for.
     ThreadPool pool(4);
     std::atomic<bool> stop{true};
-    (void)pool.parallel_for_cancellable(16, [](std::size_t) {}, stop);
+    (void)pool.parallel_for(16, [](std::size_t) {}, &stop);
     std::atomic<int> calls{0};
     pool.parallel_for(16, [&](std::size_t) { calls.fetch_add(1); });
     EXPECT_EQ(calls.load(), 16);
+}
+
+TEST(ThreadPoolCancellable, AttachedPoolCountsTheItemsThatRan) {
+    // A job with a stop flag records its telemetry like any other job:
+    // one job, and only the items that ran.
+    for (const std::size_t lanes : {std::size_t{1}, std::size_t{4}}) {
+        ThreadPool pool(lanes);
+        obs::MetricsRegistry reg;
+        pool.attach_metrics(&reg);
+        std::atomic<bool> stop{false};
+        std::atomic<std::size_t> executed{0};
+        const std::size_t ran = pool.parallel_for(
+            1000,
+            [&](std::size_t) {
+                if (executed.fetch_add(1) + 1 >= 10) stop.store(true);
+            },
+            &stop);
+        EXPECT_LT(ran, 1000u) << lanes << " lanes";
+        EXPECT_EQ(reg.counter("exec.jobs").value(), 1u) << lanes << " lanes";
+        EXPECT_EQ(reg.counter("exec.items").value(), ran)
+            << lanes << " lanes";
+    }
 }
 
 }  // namespace

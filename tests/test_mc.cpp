@@ -236,18 +236,34 @@ TEST(Splitting, BitIdenticalAcrossThreadCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// Behavioral engines on both oracles: the batched SoA kernel must give the
-// scalar event kernel's estimate exactly, at any thread count, and with
-// batch lanes set every evaluation must run on the batch kernel.
+// Behavioral engines on both kernels: the batched SoA kernel must give the
+// scalar event kernel's estimate exactly, at any thread count, and every
+// evaluation of a BehavioralMarginModel must run on the batch kernel.
 
-BehavioralMarginModel::Params sj030_params(std::size_t batch_lanes) {
+BehavioralMarginModel::Params sj030_params() {
     statmodel::ModelConfig cfg;
     cfg.spec.sj_uipp = 0.30;
     cfg.sj_freq_norm = 0.5;
-    auto p = BehavioralMarginModel::params_from(cfg);
-    p.batch_lanes = batch_lanes;
-    return p;
+    return BehavioralMarginModel::params_from(cfg);
 }
+
+/// The event-kernel reference: margin_ui forwards to the behavioral
+/// model's event kernel, and MarginModel's per-sample margin_ui_batch
+/// keeps every evaluation there.
+class EventKernelOracle : public MarginModel {
+public:
+    explicit EventKernelOracle(const BehavioralMarginModel& model)
+        : model_(model) {}
+    [[nodiscard]] double margin_ui(const RunSample& s) const override {
+        return model_.margin_ui(s);
+    }
+    [[nodiscard]] int max_run_length() const override {
+        return model_.max_run_length();
+    }
+
+private:
+    const BehavioralMarginModel& model_;
+};
 
 void expect_same_estimate(const McEstimate& a, const McEstimate& b) {
     EXPECT_EQ(a.mean, b.mean);
@@ -272,8 +288,9 @@ DirectSampler::Config small_direct_config() {
 }
 
 TEST(Splitting, BehavioralBatchedOracleMatchesScalar) {
-    const BehavioralMarginModel scalar(sj030_params(0));
-    const BehavioralMarginModel batched(sj030_params(8));
+    const BehavioralMarginModel reference(sj030_params());
+    const EventKernelOracle scalar(reference);
+    const BehavioralMarginModel batched(sj030_params());
     exec::ThreadPool pool(4);
     const McEstimate a =
         SplittingEngine(scalar, small_split_config()).estimate(pool);
@@ -282,11 +299,11 @@ TEST(Splitting, BehavioralBatchedOracleMatchesScalar) {
     expect_same_estimate(a, b);
     EXPECT_GT(b.n_samples, 128u);  // pCN levels ran, not only level 0
     EXPECT_EQ(batched.batch_stats().evals.load(), b.n_samples);
-    EXPECT_EQ(scalar.batch_stats().evals.load(), 0u);
+    EXPECT_EQ(reference.batch_stats().evals.load(), 0u);
 }
 
 TEST(Splitting, BehavioralBitIdenticalAcrossThreadCounts) {
-    const BehavioralMarginModel beh(sj030_params(8));
+    const BehavioralMarginModel beh(sj030_params());
     const SplittingEngine split(beh, small_split_config());
     exec::ThreadPool serial(1);
     exec::ThreadPool wide(4);
@@ -294,8 +311,9 @@ TEST(Splitting, BehavioralBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(DirectSampler, BehavioralBatchedOracleMatchesScalar) {
-    const BehavioralMarginModel scalar(sj030_params(0));
-    const BehavioralMarginModel batched(sj030_params(8));
+    const BehavioralMarginModel reference(sj030_params());
+    const EventKernelOracle scalar(reference);
+    const BehavioralMarginModel batched(sj030_params());
     exec::ThreadPool pool(4);
     const McEstimate a =
         DirectSampler(scalar, small_direct_config()).estimate(pool);
@@ -304,11 +322,11 @@ TEST(DirectSampler, BehavioralBatchedOracleMatchesScalar) {
     expect_same_estimate(a, b);
     EXPECT_EQ(b.n_samples, 1280u);
     EXPECT_EQ(batched.batch_stats().evals.load(), b.n_samples);
-    EXPECT_EQ(scalar.batch_stats().evals.load(), 0u);
+    EXPECT_EQ(reference.batch_stats().evals.load(), 0u);
 }
 
 TEST(DirectSampler, BehavioralBitIdenticalAcrossThreadCounts) {
-    const BehavioralMarginModel beh(sj030_params(8));
+    const BehavioralMarginModel beh(sj030_params());
     const DirectSampler direct(beh, small_direct_config());
     exec::ThreadPool serial(1);
     exec::ThreadPool wide(4);

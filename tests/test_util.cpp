@@ -417,6 +417,31 @@ TEST(Mathx, TrapzIntegratesLinearExactly) {
     EXPECT_DOUBLE_EQ(trapz(ys, 1.0), 50.0);  // integral of x over [0,10]
 }
 
+TEST(Mathx, BisectLargestPassingEndsAndThreshold) {
+    int calls = 0;
+    auto below = [&](double threshold) {
+        return [&calls, threshold](double x) {
+            ++calls;
+            return x <= threshold;
+        };
+    };
+    // A passing cap and a failing zero return at once.
+    EXPECT_EQ(bisect_largest_passing(2.0, 60, below(5.0)), 2.0);
+    EXPECT_EQ(calls, 1);
+    calls = 0;
+    EXPECT_EQ(bisect_largest_passing(2.0, 60, below(-1.0)), 0.0);
+    EXPECT_EQ(calls, 2);
+    // Otherwise: cap, zero, then one evaluation per step, landing at or
+    // below the threshold within cap * 2^-steps.
+    for (const int steps : {1, 10, 24, 60}) {
+        calls = 0;
+        const double x = bisect_largest_passing(2.0, steps, below(0.7));
+        EXPECT_LE(x, 0.7) << steps;
+        EXPECT_GE(x, 0.7 - std::ldexp(2.0, -steps)) << steps;
+        EXPECT_EQ(calls, steps + 2) << steps;
+    }
+}
+
 TEST(Fft, NextPow2) {
     EXPECT_EQ(next_pow2(1), 1u);
     EXPECT_EQ(next_pow2(2), 2u);
