@@ -29,9 +29,11 @@
 // argument that neither reads ends the run through unknown_flag(). A flag
 // only some benches read is theirs alone: bench_scenario parses
 // --scenario FILE, and bench_scenario and bench_xval_ber parse
-// --flight-recorder. Every integer flag value goes through uint_flag(): a
-// missing, non-decimal or out-of-range value exits 2 naming the flag, as
-// do an unknown --log-level and a --log-json file that cannot be opened.
+// --flight-recorder. A flag that takes a value exits 2 with
+// "<flag>: missing value" when none follows (flag_value()). Every integer
+// flag value goes through uint_flag(): a non-decimal or out-of-range value
+// exits 2 naming the flag, as do an unknown --log-level and a --log-json
+// file that cannot be opened.
 // Both --threads and --seed are recorded in the report's "run" object.
 
 #include <chrono>
@@ -56,19 +58,24 @@
 
 namespace gcdr::bench {
 
-/// The value of the flag at argv[i] as a decimal integer in [0, max]
-/// (util::parse_uint), advancing i past it. A missing or bad value ends
-/// the run with exit 2 and a message naming the flag, before the bench
-/// has built anything (no pool, no thread).
+/// The value of the flag at argv[i], advancing i past it. A flag at the
+/// end of argv ends the run with exit 2 and "<flag>: missing value",
+/// before the bench has built anything (no pool, no thread).
+inline const char* flag_value(int argc, char** argv, int& i) {
+    if (i + 1 >= argc) {
+        std::fprintf(stderr, "%s: missing value\n", argv[i]);
+        std::exit(2);
+    }
+    return argv[++i];
+}
+
+/// flag_value() as a decimal integer in [0, max] (util::parse_uint); a
+/// bad value also exits 2 with a message naming the flag.
 inline std::uint64_t uint_flag(
     int argc, char** argv, int& i,
     std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
     const char* flag = argv[i];
-    if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: missing value\n", flag);
-        std::exit(2);
-    }
-    const char* text = argv[++i];
+    const char* text = flag_value(argc, argv, i);
     if (const auto value = util::parse_uint(text, max)) return *value;
     std::fprintf(stderr, "%s: want an integer in [0, %llu], got '%s'\n",
                  flag, static_cast<unsigned long long>(max), text);
@@ -103,33 +110,29 @@ struct Options {
         for (int i = 1; i < argc; ++i) {
             if (std::strcmp(argv[i], "--quiet") == 0) {
                 opts.quiet = true;
-            } else if (std::strcmp(argv[i], "--json") == 0 &&
-                       i + 1 < argc) {
-                opts.json_path = argv[++i];
+            } else if (std::strcmp(argv[i], "--json") == 0) {
+                opts.json_path = flag_value(argc, argv, i);
             } else if (std::strcmp(argv[i], "--threads") == 0) {
                 opts.threads = static_cast<std::size_t>(
                     uint_flag(argc, argv, i, util::kMaxThreadCount));
             } else if (std::strcmp(argv[i], "--seed") == 0) {
                 opts.seed = uint_flag(argc, argv, i);
-            } else if (std::strcmp(argv[i], "--trace") == 0 &&
-                       i + 1 < argc) {
-                opts.trace_path = argv[++i];
+            } else if (std::strcmp(argv[i], "--trace") == 0) {
+                opts.trace_path = flag_value(argc, argv, i);
             } else if (std::strncmp(argv[i], "--trace=", 8) == 0) {
                 opts.trace_path = argv[i] + 8;
-            } else if (std::strcmp(argv[i], "--metrics-out") == 0 &&
-                       i + 1 < argc) {
-                opts.metrics_out_path = argv[++i];
-            } else if (std::strcmp(argv[i], "--log-json") == 0 &&
-                       i + 1 < argc) {
-                opts.log_json_path = argv[++i];
-            } else if (std::strcmp(argv[i], "--log-level") == 0 &&
-                       i + 1 < argc) {
+            } else if (std::strcmp(argv[i], "--metrics-out") == 0) {
+                opts.metrics_out_path = flag_value(argc, argv, i);
+            } else if (std::strcmp(argv[i], "--log-json") == 0) {
+                opts.log_json_path = flag_value(argc, argv, i);
+            } else if (std::strcmp(argv[i], "--log-level") == 0) {
                 obs::LogLevel level{};
-                if (!obs::parse_log_level(argv[++i], level)) {
+                const char* text = flag_value(argc, argv, i);
+                if (!obs::parse_log_level(text, level)) {
                     std::fprintf(stderr,
                                  "--log-level: want trace|debug|info|warn|"
                                  "error|off, got '%s'\n",
-                                 argv[i]);
+                                 text);
                     std::exit(2);
                 }
                 obs::Logger::global().set_level(level);

@@ -194,8 +194,8 @@ int main(int argc, char** argv) {
     bool have_fuzz_seed = false;
     std::uint64_t fuzz_seed = 0;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--scenario") == 0 && i + 1 < argc) {
-            scenario_path = argv[++i];
+        if (std::strcmp(argv[i], "--scenario") == 0) {
+            scenario_path = bench::flag_value(argc, argv, i);
         } else if (std::strcmp(argv[i], "--flight-recorder") == 0) {
             flight_recorder = true;
         } else if (std::strcmp(argv[i], "--check") == 0) {

@@ -184,8 +184,9 @@ int main(int argc, char** argv) {
     std::size_t n_specs = 3;
     bool check = false;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--connect") == 0 && i + 1 < argc) {
-            const std::string_view connect = argv[++i];
+        if (std::strcmp(argv[i], "--connect") == 0) {
+            const std::string_view connect =
+                gcdr::bench::flag_value(argc, argv, i);
             const std::size_t colon = connect.rfind(':');
             const auto port_value =
                 colon == std::string_view::npos

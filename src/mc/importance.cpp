@@ -19,6 +19,11 @@ namespace {
 constexpr std::uint64_t kSamplesPerStratumRound = 4096;
 // SJ phase strata per run length (1 when the config has no SJ).
 constexpr int kPhaseBins = 8;
+// Pool items a job should carry at least: whole rounds are added until a
+// job has this many, so the 6 strata of a config without SJ do not leave
+// lanes idle in a second, part-filled wave. Fixed, never the pool width,
+// so the job and item counts do not depend on the thread count.
+constexpr std::size_t kMinItemsPerJob = 8;
 
 }  // namespace
 
@@ -38,16 +43,16 @@ void ImportanceSampler::build_strata() {
     strata_.clear();
     const statmodel::ModelConfig& mcfg = model_->config();
     for (int l = 1; l <= model_->max_run_length(); ++l) {
+        const AnalyticMarginModel::LateRun late = model_->late_run(l);
         const double sigma_rj = mcfg.spec.rj_uirms;
-        const double sigma_osc = statmodel::osc_sigma_ui(mcfg, l);
-        const double amp = statmodel::sj_effective_amplitude(mcfg, l);
         // Margin = c.z + DJ + SJ - threshold with c the gradient below.
-        const double c[3] = {sigma_rj, -sigma_rj, -sigma_osc};
+        const double c[3] = {sigma_rj, -sigma_rj, -late.osc_sigma};
         const double c2 = c[0] * c[0] + c[1] * c[1] + c[2] * c[2];
         for (int b = 0; b < bins_; ++b) {
             Stratum st;
             st.run_length = l;
             st.phase_bin = b;
+            st.late = late;
             // Distance from the *nearest* point of the stratum's bounded
             // box (DJ in +-DJpp/2, phase anywhere in the bin) to the
             // error boundary at z = 0. Tilting by less than the distance
@@ -65,8 +70,7 @@ void ImportanceSampler::build_strata() {
                          std::sin(2.0 * std::numbers::pi * u_hi));
             if (u_lo <= 0.75 && 0.75 < u_hi) sin_min = -1.0;  // interior min
             const double g_min = -0.5 * mcfg.spec.dj_uipp +
-                                 amp * sin_min -
-                                 statmodel::late_threshold_ui(mcfg, l);
+                                 late.sj_amp * sin_min - late.threshold;
             if (g_min > 0.0 && c2 > 0.0) {
                 for (int i = 0; i < 3; ++i) st.mu[i] = -g_min * c[i] / c2;
             }
@@ -88,57 +92,52 @@ double ImportanceSampler::shift_norm(std::size_t s) const {
                      st.mu[2] * st.mu[2]);
 }
 
-void ImportanceSampler::sample_stratum(const Stratum& st,
-                                       std::uint64_t seed, std::uint64_t n,
-                                       WeightedTally& tally) const {
+WeightedTally ImportanceSampler::sample_stratum(const Stratum& st,
+                                               std::uint64_t seed,
+                                               std::uint64_t n) const {
+    // The tally lives on this lane's stack and is stored once: the slots
+    // of different items share cache lines, and adding into one per draw
+    // makes the lanes contend for them. A passing draw adds 0, so the
+    // likelihood ratio is evaluated for failing draws only.
+    WeightedTally tally;
     Rng rng(seed);
     if (st.early) {
         const double mu = st.mu_early;
         for (std::uint64_t i = 0; i < n; ++i) {
             const double z = rng.gaussian();
-            const double w = std::exp(-mu * z - 0.5 * mu * mu);
             const double m = model_->early_margin_ui(z + mu);
-            tally.add(m < 0.0 ? w : 0.0);
+            tally.add(m < 0.0 ? std::exp(-mu * z - 0.5 * mu * mu) : 0.0);
         }
-        return;
+        return tally;
     }
+    const AnalyticMarginModel::LateRun& late = st.late;
     const double* mu = st.mu;
     const double mu2 =
         mu[0] * mu[0] + mu[1] * mu[1] + mu[2] * mu[2];
-    // Buffer coordinates and likelihood ratios, batch-evaluate the margin,
-    // then tally in draw order — same rng stream and same tally sequence
-    // as the one-at-a-time loop, but the margin evaluation goes through
-    // the model's buffered entry point. Chunking only bounds memory.
-    constexpr std::uint64_t kChunk = 1024;
-    std::vector<RunSample> buf;
-    std::vector<double> weights;
-    std::vector<double> margins;
-    for (std::uint64_t done = 0; done < n;) {
-        const std::uint64_t c = std::min(kChunk, n - done);
-        buf.resize(c);
-        weights.resize(c);
-        margins.resize(c);
-        for (std::uint64_t i = 0; i < c; ++i) {
-            RunSample& s = buf[i];
-            s.run_length = st.run_length;
-            s.u_dj = rng.uniform();
-            s.u_phase = (static_cast<double>(st.phase_bin) + rng.uniform()) /
-                        static_cast<double>(bins_);
-            const double z0 = rng.gaussian();
-            const double z1 = rng.gaussian();
-            const double z2 = rng.gaussian();
-            s.z_edge = z0 + mu[0];
-            s.z_trig = z1 + mu[1];
-            s.z_osc = z2 + mu[2];
-            weights[i] = std::exp(
-                -(mu[0] * z0 + mu[1] * z1 + mu[2] * z2) - 0.5 * mu2);
+    for (std::uint64_t i = 0; i < n; ++i) {
+        const double u_dj = rng.uniform();
+        const double u = rng.uniform();
+        const double z0 = rng.gaussian();
+        const double z1 = rng.gaussian();
+        const double z2 = rng.gaussian();
+        // u is drawn either way, so the stream does not depend on the
+        // amplitude. With no effective SJ the term would be +-0, which
+        // cannot change the sign test below, so the sine is skipped.
+        double sj = 0.0;
+        if (late.sj_amp != 0.0) {
+            const double u_phase =
+                (static_cast<double>(st.phase_bin) + u) /
+                static_cast<double>(bins_);
+            sj = late.sj_amp * std::sin(2.0 * std::numbers::pi * u_phase);
         }
-        model_->late_margin_ui_batch(buf.data(), c, margins.data());
-        for (std::uint64_t i = 0; i < c; ++i) {
-            tally.add(margins[i] < 0.0 ? weights[i] : 0.0);
-        }
-        done += c;
+        const double m = model_->late_margin_ui(late, u_dj, z0 + mu[0],
+                                                z1 + mu[1], z2 + mu[2], sj);
+        tally.add(m < 0.0 ? std::exp(-(mu[0] * z0 + mu[1] * z1 +
+                                       mu[2] * z2) -
+                                     0.5 * mu2)
+                          : 0.0);
     }
+    return tally;
 }
 
 McEstimate ImportanceSampler::assemble(
@@ -173,42 +172,53 @@ McEstimate ImportanceSampler::assemble(
 McEstimate ImportanceSampler::estimate(exec::ThreadPool& pool) const {
     const std::size_t n_strata = strata_.size();
     const std::uint64_t round_evals = kSamplesPerStratumRound * n_strata;
+    const std::uint64_t max_rounds = cfg_.budget.max_evals / round_evals;
+    const std::uint64_t rounds_per_job =
+        (kMinItemsPerJob + n_strata - 1) / n_strata;
     std::vector<WeightedTally> cum(n_strata);
+    std::vector<WeightedTally> job_tallies;
     std::uint64_t total = 0;
     McEstimate est;
     std::uint64_t round = 0;
     // Opt-in live progress against the eval budget (the loop may exit
     // early on convergence — finish() emits the final count either way).
     std::unique_ptr<obs::ProgressReporter> progress;
-    if (obs::ProgressReporter::enabled() &&
-        round_evals <= cfg_.budget.max_evals) {
+    if (obs::ProgressReporter::enabled() && max_rounds > 0) {
         progress = std::make_unique<obs::ProgressReporter>(
             "mc.is", cfg_.budget.max_evals);
     }
-    while (total + round_evals <= cfg_.budget.max_evals) {
-        obs::TraceSpan round_span("mc.is.round");
-        std::vector<WeightedTally> round_tallies(n_strata);
-        pool.parallel_for(n_strata, [&](std::size_t s) {
-            const std::uint64_t seed = exec::derive_seed(
-                cfg_.budget.base_seed, round * n_strata + s);
-            sample_stratum(strata_[s], seed, kSamplesPerStratumRound,
-                           round_tallies[s]);
+    while (round < max_rounds && !est.converged) {
+        obs::TraceSpan job_span("mc.is.round");
+        const std::uint64_t job_rounds =
+            std::min(rounds_per_job, max_rounds - round);
+        const std::uint64_t first_item = round * n_strata;
+        job_tallies.assign(job_rounds * n_strata, WeightedTally{});
+        pool.parallel_for(job_tallies.size(), [&](std::size_t i) {
+            job_tallies[i] = sample_stratum(
+                strata_[i % n_strata],
+                exec::derive_seed(cfg_.budget.base_seed, first_item + i),
+                kSamplesPerStratumRound);
         });
-        for (std::size_t s = 0; s < n_strata; ++s) {
-            cum[s].merge(round_tallies[s]);  // fixed order: determinism
+        // Commit the job's rounds in order, each under the stop test; the
+        // rounds after a converged one are dropped.
+        for (std::uint64_t r = 0; r < job_rounds && !est.converged; ++r) {
+            const WeightedTally* tallies = &job_tallies[r * n_strata];
+            for (std::size_t s = 0; s < n_strata; ++s) {
+                cum[s].merge(tallies[s]);  // fixed order: determinism
+            }
+            total += round_evals;
+            ++round;
+            est = assemble(cum, total);
+            if (progress) progress->add(round_evals);
+            if (metrics_) {
+                metrics_->counter("mc.is.samples").inc(round_evals);
+                metrics_->gauge("mc.is.rounds")
+                    .set(static_cast<double>(round));
+                metrics_->gauge("mc.is.ber").set(est.mean);
+                metrics_->gauge("mc.is.rel_err").set(est.rel_err());
+                metrics_->gauge("mc.is.ess").set(est.ess);
+            }
         }
-        total += round_evals;
-        ++round;
-        est = assemble(cum, total);
-        if (progress) progress->add(round_evals);
-        if (metrics_) {
-            metrics_->counter("mc.is.samples").inc(round_evals);
-            metrics_->gauge("mc.is.rounds").set(static_cast<double>(round));
-            metrics_->gauge("mc.is.ber").set(est.mean);
-            metrics_->gauge("mc.is.rel_err").set(est.rel_err());
-            metrics_->gauge("mc.is.ess").set(est.ess);
-        }
-        if (est.converged) break;
     }
     if (progress) progress->finish();
     if (total == 0) est = assemble(cum, 0);  // budget below one round

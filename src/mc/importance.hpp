@@ -20,9 +20,13 @@
 //
 // Determinism: rounds x strata form a flat index space; stratum s of
 // round r draws only from derive_seed(base_seed, r * n_strata + s), each
-// parallel item writes its own tally slot, and round tallies merge into
-// the cumulative ones in stratum order after the barrier — estimates are
-// bit-identical for any thread count (the exec/ contract).
+// parallel item sums into its own stack tally and stores it once in its
+// slot, and round tallies merge into the cumulative ones in stratum order
+// after the barrier — estimates are bit-identical for any thread count
+// (the exec/ contract). One pool job carries ceil(8 / n_strata) rounds,
+// a count fixed by the strata alone, and commits them in order under the
+// per-round budget and stop test; rounds after the converged one are
+// dropped uncounted, so the estimate equals a round-per-job loop's.
 
 #include <cstdint>
 #include <vector>
@@ -60,14 +64,17 @@ private:
         bool early = false;
         int run_length = 1;
         int phase_bin = 0;
+        /// The late-margin terms of the run length, computed once.
+        AnalyticMarginModel::LateRun late;
         /// Mean shift on (z_edge, z_trig, z_osc), or on z_early.
         double mu[3] = {0.0, 0.0, 0.0};
         double mu_early = 0.0;
     };
 
     void build_strata();
-    void sample_stratum(const Stratum& st, std::uint64_t seed,
-                        std::uint64_t n, WeightedTally& tally) const;
+    [[nodiscard]] WeightedTally sample_stratum(const Stratum& st,
+                                               std::uint64_t seed,
+                                               std::uint64_t n) const;
     [[nodiscard]] McEstimate assemble(
         const std::vector<WeightedTally>& tallies,
         std::uint64_t total_evals) const;

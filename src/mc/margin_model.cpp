@@ -49,30 +49,27 @@ AnalyticMarginModel::AnalyticMarginModel(const statmodel::ModelConfig& cfg)
     assert(cfg_.max_cid >= 1);
 }
 
+AnalyticMarginModel::LateRun AnalyticMarginModel::late_run(
+    int run_length) const {
+    return {statmodel::osc_sigma_ui(cfg_, run_length),
+            statmodel::sj_effective_amplitude(cfg_, run_length),
+            statmodel::late_threshold_ui(cfg_, run_length)};
+}
+
 double AnalyticMarginModel::late_margin_ui(const RunSample& s) const {
     // The last sample survives while  L + dJ_rel > s_L + osc jitter, i.e.
     // margin = DJ + RJ_close - RJ_trig - osc*z + SJ_rel - (s_L - L) > 0.
     // Identical in law to statmodel's P(DJ + G + S < s_L - L) with
     // G ~ N(0, 2*rj^2 + osc^2) and S the phase-uniform SJ sinusoid.
-    const double dj = (s.u_dj - 0.5) * cfg_.spec.dj_uipp;
-    const double rj = cfg_.spec.rj_uirms * (s.z_edge - s.z_trig);
-    const double osc = statmodel::osc_sigma_ui(cfg_, s.run_length) * s.z_osc;
-    const double sj =
-        statmodel::sj_effective_amplitude(cfg_, s.run_length) *
-        std::sin(2.0 * std::numbers::pi * s.u_phase);
-    return dj + rj - osc + sj -
-           statmodel::late_threshold_ui(cfg_, s.run_length);
+    const LateRun run = late_run(s.run_length);
+    return late_margin_ui(run, s.u_dj, s.z_edge, s.z_trig, s.z_osc,
+                          run.sj_amp *
+                              std::sin(2.0 * std::numbers::pi * s.u_phase));
 }
 
 double AnalyticMarginModel::early_margin_ui(double z_early) const {
     return statmodel::sample_instant_ui(cfg_, 1) +
            statmodel::early_sigma_ui(cfg_) * z_early;
-}
-
-void AnalyticMarginModel::late_margin_ui_batch(const RunSample* samples,
-                                               std::size_t n,
-                                               double* out) const {
-    for (std::size_t i = 0; i < n; ++i) out[i] = late_margin_ui(samples[i]);
 }
 
 double AnalyticMarginModel::margin_ui(const RunSample& s) const {

@@ -84,11 +84,27 @@ public:
         return cfg_.max_cid;
     }
 
+    /// The late-margin equation's terms that depend on the run length
+    /// alone (statmodel/timing.hpp).
+    struct LateRun {
+        double osc_sigma = 0.0;  ///< oscillator jitter of sample L, UI rms
+        double sj_amp = 0.0;     ///< effective SJ amplitude, UIpp
+        double threshold = 0.0;  ///< s_L - L
+    };
+    [[nodiscard]] LateRun late_run(int run_length) const;
+
     /// Margin of the run's last bit against the closing transition.
     [[nodiscard]] double late_margin_ui(const RunSample& s) const;
-    /// late_margin_ui over a buffer — the importance sampler's hot loop.
-    void late_margin_ui_batch(const RunSample* samples, std::size_t n,
-                              double* out) const;
+    /// The same equation for one run length's terms, with the SJ
+    /// displacement `sj` (run.sj_amp * sin(phase)) given. Inline: the
+    /// importance sampler evaluates it once per draw.
+    [[nodiscard]] double late_margin_ui(const LateRun& run, double u_dj,
+                                        double z_edge, double z_trig,
+                                        double z_osc, double sj) const {
+        const double dj = (u_dj - 0.5) * cfg_.spec.dj_uipp;
+        const double rj = cfg_.spec.rj_uirms * (z_edge - z_trig);
+        return dj + rj - run.osc_sigma * z_osc + sj - run.threshold;
+    }
     /// Margin of the run's first bit against its own trigger.
     [[nodiscard]] double early_margin_ui(double z_early) const;
 

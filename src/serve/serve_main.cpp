@@ -36,7 +36,7 @@ void usage(const char* argv0) {
         stderr,
         "usage: %s [--port N] [--port-file PATH] [--cache PATH]\n"
         "          [--max-entries N] [--workers N] [--job-threads N]\n"
-        "          [--log-level trace|debug|info|warn|error]\n",
+        "          [--log-level trace|debug|info|warn|error|off]\n",
         argv0);
 }
 
@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
         const char* next = i + 1 < argc ? argv[i + 1] : nullptr;
         auto need = [&](const char* flag) -> const char* {
             if (!next) {
-                std::fprintf(stderr, "%s requires a value\n", flag);
+                std::fprintf(stderr, "%s: missing value\n", flag);
                 std::exit(2);
             }
             ++i;
@@ -89,8 +89,12 @@ int main(int argc, char** argv) {
                 need_uint("--job-threads", gcdr::util::kMaxThreadCount);
         } else if (arg == "--log-level") {
             gcdr::obs::LogLevel level{};
-            if (!gcdr::obs::parse_log_level(need("--log-level"), level)) {
-                std::fprintf(stderr, "bad --log-level\n");
+            const char* text = need("--log-level");
+            if (!gcdr::obs::parse_log_level(text, level)) {
+                std::fprintf(stderr,
+                             "--log-level: want trace|debug|info|warn|"
+                             "error|off, got '%s'\n",
+                             text);
                 return 2;
             }
             gcdr::obs::Logger::global().set_level(level);

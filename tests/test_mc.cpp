@@ -165,6 +165,50 @@ TEST(ImportanceSampling, BitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(a.n_samples, b.n_samples);
 }
 
+TEST(ImportanceSampling, SjFreePointsArePinnedOnEveryPoolWidth) {
+    // The xval points without SJ: 6 strata, so one pool job carries two
+    // rounds. mid030 converges on the first round of its fourth job, so
+    // the job's second round is drawn and must be dropped uncounted. The
+    // values were taken from the sampler that ran one round per job and
+    // buffered its draws; any change to the draws, their order, the tilt
+    // or the tally arithmetic moves them.
+    struct Pin {
+        const char* name;
+        double freq_offset;
+        double sampling_advance_ui;
+        double mean, std_err, ess;
+        std::uint64_t n_samples;
+    };
+    const Pin pins[] = {
+        {"mid030", 0.03, 0.0, 2.7652057464651585e-11,
+         2.5753221153415976e-12, 349.00370395892071, 172032},
+        {"adv055", 0.055, 0.125, 6.427935133513673e-13,
+         6.1621437044799607e-14, 265.56724602681231, 196608},
+    };
+    for (const Pin& p : pins) {
+        statmodel::ModelConfig cfg;
+        cfg.freq_offset = p.freq_offset;
+        cfg.sampling_advance_ui = p.sampling_advance_ui;
+        AnalyticMarginModel model(cfg);
+        ImportanceSampler::Config ic;
+        ic.budget.target_rel_err = 0.1;
+        ic.budget.max_evals = 1'500'000;
+        ic.budget.base_seed = 1;
+        ImportanceSampler is(model, ic);
+        ASSERT_EQ(is.n_strata(), 6u);
+        for (std::size_t lanes : {1u, 3u, 4u}) {
+            exec::ThreadPool pool(lanes);
+            const McEstimate e = is.estimate(pool);
+            EXPECT_TRUE(e.converged) << p.name << " lanes " << lanes;
+            EXPECT_EQ(e.mean, p.mean) << p.name << " lanes " << lanes;
+            EXPECT_EQ(e.std_err, p.std_err) << p.name << " lanes " << lanes;
+            EXPECT_EQ(e.ess, p.ess) << p.name << " lanes " << lanes;
+            EXPECT_EQ(e.n_samples, p.n_samples)
+                << p.name << " lanes " << lanes;
+        }
+    }
+}
+
 TEST(DirectSampler, MatchesStatmodelAtEasyPoint) {
     statmodel::ModelConfig cfg;
     cfg.spec.sj_uipp = 0.30;
